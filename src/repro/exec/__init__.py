@@ -17,9 +17,9 @@ here)::
         print(failure.kind, failure.simulator, failure.workload)
 
 Cells are content-addressed by :class:`CacheKey` — configuration hash,
-workload, trace fingerprint, package version — so a second run over
-unchanged inputs is pure cache hits and serialises byte-identically to
-the run that populated the cache.
+workload, program digest, package version — so a second run over
+unchanged inputs is pure cache hits, builds no trace, and serialises
+byte-identically to the run that populated the cache.
 
 For crash-safe distribution one level up, :class:`ShardCoordinator`
 (``shards=`` on ``run_grid``) partitions the grid into work-stealing
@@ -32,8 +32,10 @@ or coordinator loss, with a checkpoint — never loses completed cells.
 # from repro.validation.harness without this package init dragging in
 # engine/coordinator, which import harness right back.
 _EXPORTS = {
+    "CacheCheck": "repro.exec.cache",
     "CacheKey": "repro.exec.cache",
     "ResultCache": "repro.exec.cache",
+    "check_cache": "repro.exec.cache",
     "fingerprint_trace": "repro.exec.cache",
     "instr_signature": "repro.exec.cache",
     "ShardCoordinator": "repro.exec.coordinator",

@@ -2,23 +2,36 @@
 configuration.
 
 A grid cell's outcome is a pure function of (simulator configuration,
-workload trace, simulator code).  :class:`CacheKey` captures exactly
+workload program, simulator code).  :class:`CacheKey` captures exactly
 that function's inputs:
 
 * ``simulator`` + ``config_hash`` — which timing model, resolved to the
-  PR-1 provenance hash of its fully specified configuration;
-* ``workload`` + ``trace_fingerprint`` — which dynamic trace, hashed
-  over every replayed instruction so a changed workload generator
-  invalidates stale entries;
+  provenance hash of its fully specified configuration (plus any
+  measurement settings the simulator declares);
+* ``workload`` + ``program_digest`` — which dynamic trace, identified
+  by :func:`~repro.functional.machine.program_digest` of the program
+  that produces it (its instructions, data image, entry point and the
+  functional-semantics version), so a lookup never has to build the
+  trace and a changed workload generator still invalidates stale
+  entries;
 * ``package_version`` — which release of the simulators produced it.
 
 Entries live one-per-file under the cache root, named by the key's
 digest and carrying the full key alongside the serialised
-:class:`~repro.result.SimResult`; a stored key that does not match the
-probe (digest collision, hand-edited file) or an unreadable entry is
-*invalidated* — deleted and recomputed — rather than trusted.  Hits
-return the stored result verbatim, provenance included, so a warm run
-serialises byte-identically to the run that populated the cache.
+:class:`~repro.result.SimResult` and the :func:`fingerprint_trace` of
+the trace that produced it.  That stored fingerprint is not part of
+the key: it is the oracle :func:`check_cache` re-derives from the
+program to prove the digest-to-trace shortcut honest.  A stored key
+that does not match the probe (digest collision, hand-edited file) or
+an unreadable entry is *invalidated* — deleted and recomputed — rather
+than trusted.  Hits return the stored result verbatim, provenance
+included, so a warm run serialises byte-identically to the run that
+populated the cache.
+
+The entry format is ``repro-result-cache/2``.  Entries written before
+program-digest keys (format ``/1``, keyed on the trace fingerprint)
+live under different digests, so they simply miss; ``gc`` ages them
+out like any other untouched entry.
 """
 
 from __future__ import annotations
@@ -29,15 +42,21 @@ import json
 import os
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry
 from repro.result import SimResult
 
 __all__ = [
-    "CacheKey", "ResultCache", "fingerprint_trace", "instr_signature",
+    "CACHE_FORMAT", "CacheCheck", "CacheKey", "ResultCache", "check_cache",
+    "fingerprint_trace", "instr_signature",
 ]
+
+#: The on-disk entry format.  ``/2`` keys entries on the program digest
+#: and stores the producing trace's fingerprint in the payload.
+CACHE_FORMAT = "repro-result-cache/2"
 
 
 def instr_signature(dyn) -> tuple:
@@ -92,7 +111,7 @@ class CacheKey:
     simulator: str
     config_hash: str
     workload: str
-    trace_fingerprint: str
+    program_digest: str
     package_version: str
 
     def to_dict(self) -> dict:
@@ -145,7 +164,8 @@ class ResultCache:
         except (OSError, ValueError):
             self._drop(path)
         if payload is not None:
-            if payload.get("key") == key.to_dict():
+            if (payload.get("format") == CACHE_FORMAT
+                    and payload.get("key") == key.to_dict()):
                 try:
                     result = SimResult.from_dict(payload["result"])
                 except (KeyError, TypeError, ValueError):
@@ -187,18 +207,22 @@ class ResultCache:
             return None
         if (
             not isinstance(payload, dict)
-            or payload.get("format") != "repro-result-cache/1"
+            or payload.get("format") != CACHE_FORMAT
             or "result" not in payload
         ):
             return None
         return payload
 
-    def put(self, key: CacheKey, result: SimResult) -> None:
-        """Store ``result`` under ``key`` (atomically; overwrites)."""
+    def put(self, key: CacheKey, result: SimResult, *,
+            trace_fingerprint: str) -> None:
+        """Store ``result`` under ``key`` (atomically; overwrites),
+        with the :func:`fingerprint_trace` of the trace that produced
+        it for :func:`check_cache` to audit."""
         payload = {
-            "format": "repro-result-cache/1",
+            "format": CACHE_FORMAT,
             "key": key.to_dict(),
             "result": result.to_dict(),
+            "trace_fingerprint": trace_fingerprint,
         }
         handle, tmp_path = tempfile.mkstemp(
             dir=self.root, suffix=".tmp", prefix=key.digest()
@@ -368,3 +392,94 @@ class ResultCache:
             "stores": self.stores,
             "entries": len(self),
         }
+
+
+class CacheCheck:
+    """What :func:`check_cache` found in one cache directory."""
+
+    def __init__(self) -> None:
+        #: Entries whose stored trace fingerprint the rebuilt trace
+        #: matched.
+        self.verified = 0
+        #: ``(digest, workload, stored, rebuilt)`` for every entry
+        #: whose stored fingerprint the rebuilt trace contradicts.
+        self.mismatches: List[Tuple[str, str, str, str]] = []
+        #: Why entries could not be re-derived (unreadable or
+        #: old-format entry, unknown workload, program no longer
+        #: current) -> count.
+        self.skipped: Counter = Counter()
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+    def render(self) -> str:
+        lines = [
+            f"cache-check: {self.verified} verified, "
+            f"{len(self.mismatches)} mismatched, "
+            f"{sum(self.skipped.values())} skipped"
+        ]
+        for digest, workload, stored, rebuilt in self.mismatches:
+            lines.append(
+                f"  MISMATCH {digest} ({workload}): stored trace "
+                f"fingerprint {stored} != rebuilt {rebuilt}"
+            )
+        for reason, count in sorted(self.skipped.items()):
+            lines.append(f"  skipped {count}: {reason}")
+        return "\n".join(lines)
+
+
+def check_cache(cache: ResultCache, workloads=None) -> CacheCheck:
+    """Audit the program-digest shortcut behind every entry in
+    ``cache``.
+
+    For each entry whose program is current in ``workloads`` (its
+    :meth:`~repro.workloads.suite.WorkloadSet.program_digest` equals
+    the key's), run the program through the functional machine again
+    and compare :func:`fingerprint_trace` of that trace with the
+    fingerprint stored at ``put`` time.  A mismatch means a cell was
+    served for a trace other than the one that measured it.  Each
+    program is run once, and its trace is dropped after hashing.
+    ``workloads`` defaults to every shipped workload, calibration
+    kernels included.
+    """
+    from repro.functional.machine import run_program
+
+    if workloads is None:
+        from repro.workloads.suite import WorkloadSet
+
+        workloads = WorkloadSet()
+        workloads.register_calibration()
+    report = CacheCheck()
+    rebuilt: Dict[str, str] = {}
+    for name in sorted(os.listdir(cache.root)):
+        if not name.endswith(".json"):
+            continue
+        digest = name[:-len(".json")]
+        payload = cache.get_digest(digest)
+        if payload is None:
+            report.skipped["unreadable or old-format entry"] += 1
+            continue
+        key = payload.get("key") or {}
+        workload = key.get("workload")
+        program = key.get("program_digest")
+        try:
+            current = workloads.program_digest(workload)
+        except (KeyError, TypeError):
+            report.skipped["workload not in the workload set"] += 1
+            continue
+        if current != program:
+            report.skipped["program differs from the current one"] += 1
+            continue
+        if program not in rebuilt:
+            rebuilt[program] = fingerprint_trace(
+                run_program(workloads.program(workload))
+            )
+        stored = payload.get("trace_fingerprint")
+        if stored == rebuilt[program]:
+            report.verified += 1
+        else:
+            report.mismatches.append(
+                (digest, workload, str(stored), rebuilt[program])
+            )
+    return report

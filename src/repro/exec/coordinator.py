@@ -46,7 +46,7 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.exec.cache import ResultCache
-from repro.exec.engine import RetryBackoff, grid_cells
+from repro.exec.engine import RetryBackoff, build_traces, grid_cells
 from repro.exec.spec import RunOptions, fold_legacy_kwargs
 from repro.exec.shard import PipeTransport, shard_journal_path, shard_runner_main
 from repro.integrity.checkpoint import CheckpointConflict, GridCheckpoint
@@ -103,8 +103,9 @@ class ShardCoordinator:
     Parameters
     ----------
     workloads:
-        The shared :class:`WorkloadSet` (traces built once here, in
-        the coordinator, inherited by runners through fork).
+        The shared :class:`WorkloadSet` (the traces of workloads with
+        cells left to run are built once here, in the coordinator,
+        after hit resolution, and inherited by runners through fork).
     options:
         A :class:`repro.exec.spec.RunOptions` carrying the execution
         envelope: ``shards`` (runner subprocesses to keep alive — the
@@ -327,6 +328,9 @@ class ShardCoordinator:
         runners: Dict[int, _RunnerState] = {}
         try:
             if pending:
+                # Traces of the workloads still to run, built before
+                # any runner forks so every runner inherits them.
+                build_traces(self.workloads, (cells[i] for i in pending))
                 self._run_fleet(
                     base, factories, names, cells, pending, state,
                     runners, strict_violation, instrumentation, progress,

@@ -6,13 +6,16 @@ every cell on every run.  This engine executes the same cells
 
 * **memoized** — each cell is content-addressed by its
   :class:`~repro.exec.cache.CacheKey` (configuration hash, workload
-  trace fingerprint, package version) and recomputed only when an
-  input changed;
+  program digest, package version) and recomputed only when an input
+  changed.  Keys come from programs, not traces, so hits are resolved
+  before any trace exists and a fully warm grid never runs the
+  functional machine;
 * **in parallel** — cache misses fan out over a pool of forked worker
   processes (``jobs`` wide), each timing one cell and shipping the
-  :class:`~repro.result.SimResult` back over a pipe.  Traces are built
-  once in the parent and inherited by the workers through fork, so no
-  worker ever rebuilds a workload;
+  :class:`~repro.result.SimResult` back over a pipe.  The traces of
+  workloads with a cell left to run are built once in the parent and
+  inherited by the workers through fork, so no worker ever rebuilds a
+  workload;
 * **fault-isolated** — a cell that raises, dies, or exceeds its
   per-cell ``timeout`` is retried up to ``retries`` times and then
   recorded as a :class:`~repro.validation.harness.CellFailure` on the
@@ -63,7 +66,10 @@ from repro.validation.harness import (
 )
 from repro.workloads.suite import WorkloadSet
 
-__all__ = ["ExperimentEngine", "CellFailure", "RetryBackoff", "grid_cells"]
+__all__ = [
+    "ExperimentEngine", "CellFailure", "RetryBackoff", "build_traces",
+    "grid_cells",
+]
 
 
 class RetryBackoff:
@@ -140,7 +146,7 @@ class _Attempt:
 
 
 def _grid_cell_key(
-    sim_name: str, cfg_hash: str, workload: str, trace_fp: str, blockcache
+    sim_name: str, cfg_hash: str, workload: str, program: str, blockcache
 ) -> CacheKey:
     version = _package_version()
     if blockcache is not False:
@@ -152,9 +158,35 @@ def _grid_cell_key(
         simulator=sim_name,
         config_hash=cfg_hash,
         workload=workload,
-        trace_fingerprint=trace_fp,
+        program_digest=program,
         package_version=version,
     )
+
+
+def _simulator_identity(factory: SimulatorFactory) -> Tuple[str, str]:
+    """``(name, config hash)`` of the simulator ``factory`` builds.
+
+    A simulator whose results also depend on how it measures (the
+    DCPI-sampled :class:`~repro.simulators.refmachine.NativeMachine`)
+    declares that as a ``measurement`` string, folded into the hash so
+    it never shares cache entries with an exact-cycle twin of the same
+    configuration.
+    """
+    simulator = factory()
+    cfg_hash = config_hash(getattr(simulator, "config", None))
+    measurement = getattr(simulator, "measurement", None)
+    if measurement:
+        cfg_hash = f"{cfg_hash}+{measurement}"
+    return simulator.name, cfg_hash
+
+
+def build_traces(workloads: WorkloadSet, cells: Iterable[_Cell]) -> None:
+    """Build (and cache in ``workloads``) the trace of every workload
+    with a cell in ``cells``, in grid order: the parent does this for
+    the cells left to run just before forking, so workers inherit the
+    traces instead of rebuilding them."""
+    for name in dict.fromkeys(cell.workload for cell in cells):
+        workloads.trace(name)
 
 
 def grid_cells(
@@ -167,33 +199,21 @@ def grid_cells(
 ) -> List[_Cell]:
     """Build the (simulator x workload) cell list in serial grid order.
 
-    Probes each factory once for its identity, builds every trace (the
-    :class:`WorkloadSet` caches them for inheriting workers), and
-    content-addresses each cell when ``keyed``.  Shared by the engine
-    and the shard coordinator/runners: both sides derive their cell
-    lists — and therefore their cache-key digests — from this one
-    function, so a lease index refers to the same cell everywhere.
+    Probes each factory once for its identity and content-addresses
+    each cell when ``keyed``, from the workload's cached program digest
+    — no trace is built here (see :func:`build_traces`).  Shared by the
+    engine, the shard coordinator/runners and ``refresh_cell``: every
+    side derives its cell list — and therefore its cache-key digests —
+    from this one function, so a lease index, a journal entry and a
+    cache entry refer to the same cell everywhere.
     """
-    probes = []
-    for factory in factories:
-        simulator = factory()
-        probes.append((
-            simulator.name,
-            config_hash(getattr(simulator, "config", None)),
-        ))
-    fingerprints: Dict[str, str] = {}
-    for name in workload_names:
-        trace = workloads.trace(name)
-        if keyed:
-            fingerprints[name] = fingerprint_trace(trace)
+    probes = [_simulator_identity(factory) for factory in factories]
     cells: List[_Cell] = []
     for name in workload_names:
+        program = workloads.program_digest(name) if keyed else None
         for (sim_name, cfg_hash), factory in zip(probes, factories):
             key = (
-                _grid_cell_key(
-                    sim_name, cfg_hash, name, fingerprints[name],
-                    blockcache,
-                )
+                _grid_cell_key(sim_name, cfg_hash, name, program, blockcache)
                 if keyed else None
             )
             cells.append(_Cell(len(cells), sim_name, factory, name, key))
@@ -354,6 +374,10 @@ class ExperimentEngine:
         #: :meth:`run_grid` call; ``None`` otherwise).
         self._ledger: Optional[RunLedger] = None
         self._progress_line: Optional[GridProgress] = None
+        #: program digest -> trace fingerprint, stored beside every
+        #: entry this engine puts (one fingerprint per program, taken
+        #: on the miss path where the trace already exists).
+        self._fingerprints: Dict[str, str] = {}
         self._ctx = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -363,11 +387,19 @@ class ExperimentEngine:
     # -- keys --------------------------------------------------------------
 
     def _cell_key(
-        self, sim_name: str, cfg_hash: str, workload: str, trace_fp: str
+        self, sim_name: str, cfg_hash: str, workload: str, program: str
     ) -> CacheKey:
         return _grid_cell_key(
-            sim_name, cfg_hash, workload, trace_fp, self.blockcache
+            sim_name, cfg_hash, workload, program, self.blockcache
         )
+
+    def _put(self, key: CacheKey, workload: str, result: SimResult) -> None:
+        """Store a computed cell with its trace's fingerprint."""
+        fingerprint = self._fingerprints.get(key.program_digest)
+        if fingerprint is None:
+            fingerprint = fingerprint_trace(self.workloads.trace(workload))
+            self._fingerprints[key.program_digest] = fingerprint
+        self.cache.put(key, result, trace_fingerprint=fingerprint)
 
     # -- the grid ----------------------------------------------------------
 
@@ -399,10 +431,9 @@ class ExperimentEngine:
         names = list(workload_names)
         self.metrics.gauge("exec.jobs").set(self.jobs)
 
-        # Build every trace in the parent: cached in the WorkloadSet,
-        # inherited by workers via fork, fingerprinted once each.
-        # Content-addressed keys serve both the result cache and the
-        # checkpoint journal.
+        # Content-addressed keys (from program digests: no trace is
+        # built yet) serve both the result cache and the checkpoint
+        # journal.
         keyed = self.cache is not None or self.checkpoint is not None
         cells = grid_cells(
             self.workloads, factories, names,
@@ -454,6 +485,10 @@ class ExperimentEngine:
         failures: Dict[int, CellFailure] = {}
         try:
             if to_run:
+                # Only now build traces, and only for workloads with a
+                # cell left: cached in the WorkloadSet, inherited by
+                # workers through fork.
+                build_traces(self.workloads, to_run)
                 if self.jobs > 1 and self._ctx is not None:
                     self._run_pool(
                         to_run, results, failures, instrumentation, progress
@@ -501,14 +536,11 @@ class ExperimentEngine:
             factory, workload, instrumentation=instrumentation
         )
         if self.cache is not None:
-            probe = factory()
-            key = self._cell_key(
-                probe.name,
-                config_hash(getattr(probe, "config", None)),
-                workload,
-                fingerprint_trace(self.workloads.trace(workload)),
+            (cell,) = grid_cells(
+                self.workloads, [factory], [workload],
+                blockcache=self.blockcache,
             )
-            self.cache.put(key, result)
+            self._put(cell.key, workload, result)
         grid.add(result, replace=True)
         return grid.get(result.simulator, result.workload)
 
@@ -536,7 +568,7 @@ class ExperimentEngine:
         ).observe(elapsed)
         self.metrics.counter("exec.cells.completed").inc()
         if self.cache is not None:
-            self.cache.put(cell.key, result)
+            self._put(cell.key, cell.workload, result)
         if self.checkpoint is not None:
             self.checkpoint.record(cell.key.digest(), result)
         self._note_cell(

@@ -7,9 +7,11 @@ from repro.functional.checkpoint import (
     snapshot,
 )
 from repro.functional.machine import (
+    FUNCTIONAL_VERSION,
     ArchState,
     ExecutionLimitExceeded,
     FunctionalMachine,
+    program_digest,
     run_program,
 )
 from repro.functional.memory_image import SparseMemory
@@ -20,9 +22,11 @@ __all__ = [
     "restore",
     "save_checkpoint",
     "snapshot",
+    "FUNCTIONAL_VERSION",
     "ArchState",
     "ExecutionLimitExceeded",
     "FunctionalMachine",
+    "program_digest",
     "run_program",
     "SparseMemory",
     "DynInstr",

@@ -11,6 +11,7 @@ configurations) tractable.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -21,7 +22,18 @@ from repro.isa.instructions import InstrClass, Instruction, Opcode
 from repro.isa.program import Program, STACK_BASE
 from repro.isa.registers import RA, SP, ZERO_FP, ZERO_INT
 
-__all__ = ["FunctionalMachine", "ExecutionLimitExceeded", "run_program"]
+__all__ = [
+    "FUNCTIONAL_VERSION", "FunctionalMachine", "ExecutionLimitExceeded",
+    "program_digest", "run_program",
+]
+
+#: Version of the architectural semantics :func:`run_program` applies
+#: (instruction behaviour, the initial register and memory state, the
+#: emitted trace records).  :func:`program_digest` hashes it, so
+#: bumping it orphans every result cached under the old semantics.
+#: Bump it with any change to this module, to ``SparseMemory``, or to
+#: ``DynInstr`` construction that can change a trace.
+FUNCTIONAL_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
@@ -292,3 +304,37 @@ def _float_to_bits(value: float) -> int:
 def run_program(program: Program, *, limit: int = FunctionalMachine.DEFAULT_LIMIT):
     """Convenience: execute ``program`` and return its dynamic trace."""
     return FunctionalMachine(program, limit=limit).run()
+
+
+def program_digest(program: Program) -> str:
+    """A stable digest of everything that determines ``program``'s
+    trace under :func:`run_program`.
+
+    Hashes :data:`FUNCTIONAL_VERSION` and the machine constants the run
+    depends on (``STACK_BASE``, the default dynamic limit), then the
+    program's content: per instruction its opcode, ``dest``, ``srcs``,
+    ``imm``, ``base``, ``disp`` and *resolved* target index; the sorted
+    data image; ``entry``; ``code_base``.  Comments, label names and
+    the program's name never reach the machine, so they cannot split
+    the digest.  Two programs with equal digests produce equal traces,
+    which is what lets the result cache key a cell without building
+    its trace.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr((
+        FUNCTIONAL_VERSION, STACK_BASE, FunctionalMachine.DEFAULT_LIMIT,
+        program.entry, program.code_base, len(program.instructions),
+    )).encode())
+    for index, instr in enumerate(program.instructions):
+        target = (
+            program.target_index(index) if instr.target is not None
+            else None
+        )
+        digest.update(b"\n")
+        digest.update(repr((
+            instr.opcode.name, instr.dest, instr.srcs, instr.imm,
+            instr.base, instr.disp, target,
+        )).encode())
+    digest.update(b"\ndata")
+    digest.update(repr(sorted(program.data.items())).encode())
+    return digest.hexdigest()

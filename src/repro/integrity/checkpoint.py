@@ -11,9 +11,13 @@ journal is rewritten atomically (temp file + ``os.replace``) every
 On the next run, ``resume=True`` loads the journal and satisfies any
 cell whose digest matches a recorded entry, so only the missing cells
 execute.  Because entries are keyed by the same digest the result
-cache uses (configuration hash + trace fingerprint + package version),
+cache uses (configuration hash + program digest + package version),
 a checkpoint can never resurrect a stale result for a changed
-configuration: the digest simply will not match.
+configuration or workload program: the digest simply will not match.
+The digest comes from the workload's program, not its trace, so
+journaled cells resolve without building a trace; journals written
+before program-digest keys (keyed on the trace fingerprint) still
+load, but their digests match no current cell and every cell misses.
 
 The journal always *merges* on flush — existing entries on disk are
 loaded first even when not resuming — so two interleaved runs over
@@ -47,7 +51,7 @@ class CheckpointConflict(ValueError):
     """Two journal entries under the same digest hold *different*
     measurements.
 
-    The digest binds configuration hash, trace fingerprint and package
+    The digest binds configuration hash, program digest and package
     version, so any two honest recomputations of the same digest must
     agree canonically (volatile provenance/telemetry aside).  A
     mismatch means one of the journals is corrupt or the determinism

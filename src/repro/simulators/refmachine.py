@@ -71,6 +71,16 @@ class NativeMachine:
     def config(self) -> MachineConfig:
         return self._machine.config
 
+    @property
+    def measurement(self) -> str:
+        """How results are measured.  Sampled results differ from the
+        exact cycle counts of :func:`make_native_machine` under the
+        same name and configuration, so result-cache keys fold this in
+        (see :func:`repro.exec.engine.grid_cells`)."""
+        if not self.measure:
+            return "exact"
+        return f"dcpi@{self.sampling_interval}"
+
     def run_trace(
         self,
         trace: Sequence[DynInstr],

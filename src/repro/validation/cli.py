@@ -50,8 +50,10 @@ performance suite, emits a schema-versioned ``BENCH_<label>.json``
 trajectory artifact, and with ``--compare OLD NEW`` diffs two
 artifacts, exiting 5 when a gated metric regressed past
 ``--bench-threshold``; ``cache-gc`` prunes a result cache by age and
-LRU size budget.  Grid runs accept ``--ledger FILE`` (per-cell JSONL
-telemetry), ``--progress`` (live cells/s + ETA line), and
+LRU size budget; ``cache-check`` re-runs each cached cell's program and
+exits 5 when the rebuilt trace's fingerprint differs from the one
+stored with the entry.  Grid runs accept ``--ledger FILE`` (per-cell
+JSONL telemetry), ``--progress`` (live cells/s + ETA line), and
 ``--openmetrics FILE`` (Prometheus-textfile registry export)::
 
     repro-experiments profile M-D
@@ -59,6 +61,7 @@ telemetry), ``--progress`` (live cells/s + ETA line), and
     repro-experiments bench --label pr6
     repro-experiments bench --compare BENCH_pr6.json BENCH_pr9.json
     repro-experiments cache-gc .repro-cache --gc-max-age 604800
+    repro-experiments cache-check .repro-cache
     repro-experiments table2 --jobs 4 --ledger t2.ledger.jsonl --progress
 """
 
@@ -398,7 +401,7 @@ def main(argv=None) -> int:
         choices=sorted(_EXPERIMENTS) + [
             "all", "trace", "integrity", "checkpoint-gc",
             "profile", "bench", "blockcache-check", "cache-gc",
-            "chaos", "shard-status",
+            "cache-check", "chaos", "shard-status",
         ],
         help="which experiment to run, 'trace' to instrument one run, "
              "'profile' for hot-path wall-time attribution, 'bench' "
@@ -409,13 +412,16 @@ def main(argv=None) -> int:
              "execution chaos scenarios (exit 1 on any violation), "
              "'shard-status' to inspect a sharded run's journals, "
              "'checkpoint-gc' to prune a "
-             "grid journal, or 'cache-gc' to prune a result cache",
+             "grid journal, 'cache-gc' to prune a result cache, or "
+             "'cache-check' to re-derive each cached cell's trace "
+             "fingerprint (exit 5 on a mismatch)",
     )
     parser.add_argument(
         "workload", nargs="?", default=None,
         help="workload to trace/profile (e.g. M-D or gzip), journal "
              "path (checkpoint-gc, shard-status), cache directory "
-             "(cache-gc), or scenario name (chaos; omit to run all)",
+             "(cache-gc, cache-check), or scenario name (chaos; omit "
+             "to run all)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -716,18 +722,22 @@ def main(argv=None) -> int:
         print(f"{status['distinct_digests']} distinct cells journaled")
         return ExitCode.OK
 
-    if args.experiment == "cache-gc":
-        from repro.exec.cache import ResultCache
+    if args.experiment in ("cache-gc", "cache-check"):
+        from repro.exec.cache import ResultCache, check_cache
 
         root = args.workload or args.cache_dir
         if not root:
             parser.error(
-                "cache-gc requires a cache directory (positional or "
-                "--cache-dir DIR)"
+                f"{args.experiment} requires a cache directory "
+                f"(positional or --cache-dir DIR)"
             )
         if not os.path.isdir(root):
             print(f"{root}: not a directory", file=sys.stderr)
             return ExitCode.USAGE
+        if args.experiment == "cache-check":
+            report = check_cache(ResultCache(root))
+            print(report.render())
+            return ExitCode.OK if report.ok else ExitCode.DIVERGENCE
         summary = ResultCache(root).gc(
             max_age_s=args.gc_max_age, max_bytes=args.gc_max_bytes
         )

@@ -31,7 +31,8 @@ class ExitCode(enum.IntEnum):
     #: invariant violation (``--sanitize --strict``).
     STRICT_ABORT = 4
     #: A gated divergence: ``bench --compare`` regression past the
-    #: threshold, or ``blockcache-check`` byte-inequivalence.
+    #: threshold, ``blockcache-check`` byte-inequivalence, or a
+    #: ``cache-check`` trace-fingerprint mismatch.
     DIVERGENCE = 5
     #: The job service could not start or serve (``repro-serve``).
     SERVICE = 6

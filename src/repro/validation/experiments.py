@@ -7,7 +7,7 @@ print our numbers beside the paper's published values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bugs import ALL_BUGS
@@ -27,7 +27,7 @@ from repro.simulators.dcpi import DcpiProfiler
 from repro.simulators.eightway import EightWayConfig, EightWaySim
 from repro.simulators.refmachine import NativeMachine
 from repro.simulators.simoutorder import OutOrderConfig, SimOutOrder
-from repro.validation.harness import Harness
+from repro.validation.harness import CellFailure, Harness
 from repro.validation.metrics import (
     arithmetic_mean,
     harmonic_mean,
@@ -277,6 +277,9 @@ class Table3Result:
     stripped_mean_diff: float
     outorder_hm_ipc: float
     outorder_mean_diff: float
+    #: Cells that failed or were quarantined; their benchmarks have no
+    #: row and stay out of the means.
+    failures: List[CellFailure] = field(default_factory=list)
 
     def row(self, benchmark: str) -> Table3Row:
         for row in self.rows:
@@ -297,11 +300,18 @@ class Table3Result:
              self.stripped_mean_diff, self.outorder_hm_ipc,
              self.outorder_mean_diff)
         )
-        return render_table(
+        table = render_table(
             ["benchmark", "native IPC", "alpha IPC", "err%",
              "stripped IPC", "diff%", "outorder IPC", "diff%"],
             table_rows,
             title="Table 3: macrobenchmark validation",
+        )
+        if not self.failures:
+            return table
+        return "\n".join(
+            [table, f"{len(self.failures)} cell(s) missing, their "
+                    f"benchmarks left out of the means:"]
+            + [f"  {failure.describe()}" for failure in self.failures]
         )
 
 
@@ -312,13 +322,20 @@ def table3_macro(
     options: Optional[RunOptions] = None,
 ) -> Table3Result:
     """Native vs sim-alpha vs sim-stripped vs sim-outorder on the
-    SPEC2000 proxies."""
+    SPEC2000 proxies.
+
+    A benchmark with a failed or quarantined cell (see
+    ``grid.failures``) gets no row and stays out of the means; the
+    failures ride along on the result."""
     harness = harness or Harness()
     names = list(benchmarks or spec2000_names())
     factories = [NativeMachine, SimAlpha, make_sim_stripped, SimOutOrder]
     grid = harness.run_grid(factories, names, options)
+    missing = {failure.workload for failure in grid.failures}
     rows: List[Table3Row] = []
     for name in names:
+        if name in missing:
+            continue
         native = grid.get("DS-10L", name)
         alpha = grid.get("sim-alpha", name)
         stripped = grid.get("sim-stripped", name)
@@ -348,6 +365,7 @@ def table3_macro(
         outorder_mean_diff=mean_absolute_error(
             r.outorder_diff for r in rows
         ),
+        failures=list(grid.failures),
     )
 
 

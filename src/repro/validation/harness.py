@@ -125,6 +125,11 @@ class CellFailure:
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
+    def canonical_dict(self) -> Dict:
+        """:meth:`to_dict` with the wall time blanked: the failure,
+        not how long it took, is the measurement."""
+        return dict(self.to_dict(), elapsed_s=0.0)
+
     @classmethod
     def from_dict(cls, payload: Dict) -> "CellFailure":
         names = {f.name for f in dataclasses.fields(cls)}
@@ -204,10 +209,10 @@ class ResultGrid:
 
         ``canonical=True`` blanks the provenance fields that vary from
         run to run on identical measurements (``created``, ``host``,
-        ``platform``, ``python``), so two runs of the same
-        configurations serialise byte-identically iff they measured the
-        same thing — the form the determinism tests and cross-run diffs
-        compare.
+        ``platform``, ``python``) and each failure's ``elapsed_s``, so
+        two runs of the same configurations serialise byte-identically
+        iff they measured the same thing — the form the determinism
+        tests and cross-run diffs compare.
         """
         entries = []
         for per_sim in self.results.values():
@@ -222,7 +227,10 @@ class ResultGrid:
         payload = {
             "format": "repro-result-grid/1",
             "results": entries,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [
+                f.canonical_dict() if canonical else f.to_dict()
+                for f in self.failures
+            ],
         }
         return json.dumps(payload, indent=indent, sort_keys=True)
 

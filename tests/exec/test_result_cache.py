@@ -35,7 +35,7 @@ def make_key(**overrides) -> CacheKey:
         simulator="sim-alpha",
         config_hash="deadbeefdeadbeef",
         workload="C-R",
-        trace_fingerprint="abc123",
+        program_digest="abc123",
         package_version="1.0.0",
     )
     payload.update(overrides)
@@ -58,7 +58,7 @@ class TestCacheKey:
         assert make_key(simulator="sim-outorder").digest() != base
         assert make_key(config_hash="0" * 16).digest() != base
         assert make_key(workload="M-D").digest() != base
-        assert make_key(trace_fingerprint="zzz").digest() != base
+        assert make_key(program_digest="zzz").digest() != base
         assert make_key(package_version="2.0.0").digest() != base
 
 
@@ -119,7 +119,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = make_key()
         assert cache.get(key) is None
-        cache.put(key, make_result())
+        cache.put(key, make_result(), trace_fingerprint="fp")
         restored = cache.get(key)
         assert restored is not None
         assert restored.to_dict() == make_result().to_dict()
@@ -131,7 +131,7 @@ class TestResultCache:
     def test_corrupt_entry_is_invalidated(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = make_key()
-        cache.put(key, make_result())
+        cache.put(key, make_result(), trace_fingerprint="fp")
         path = os.path.join(cache.root, key.digest() + ".json")
         with open(path, "w") as handle:
             handle.write("{ not json")
@@ -159,7 +159,7 @@ class TestResultCache:
     def test_explicit_invalidate(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = make_key()
-        cache.put(key, make_result())
+        cache.put(key, make_result(), trace_fingerprint="fp")
         assert cache.invalidate(key)
         assert not cache.invalidate(key)
         assert cache.get(key) is None
@@ -168,10 +168,10 @@ class TestResultCache:
     def test_put_overwrites(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = make_key()
-        cache.put(key, make_result())
+        cache.put(key, make_result(), trace_fingerprint="fp")
         updated = make_result()
         updated.cycles = 999.0
-        cache.put(key, updated)
+        cache.put(key, updated, trace_fingerprint="fp")
         assert cache.get(key).cycles == 999.0
         assert len(cache) == 1
 
@@ -180,7 +180,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path, metrics=registry)
         key = make_key()
         cache.get(key)
-        cache.put(key, make_result())
+        cache.put(key, make_result(), trace_fingerprint="fp")
         cache.get(key)
         cache.invalidate(key)
         counters = registry.snapshot()["counters"]
@@ -289,7 +289,7 @@ class TestDramBackendKeying:
 class TestGc:
     def put_at(self, cache, key, mtime):
         """Store an entry and pin its mtime (the recency gc reads)."""
-        cache.put(key, make_result())
+        cache.put(key, make_result(), trace_fingerprint="fp")
         path = os.path.join(cache.root, key.digest() + ".json")
         os.utime(path, (mtime, mtime))
         return path
@@ -419,7 +419,8 @@ class TestGc:
 
         def racing(victim, seen):
             if victim == path:
-                cache.put(key, make_result())  # the writer lands first
+                # The writer lands first.
+                cache.put(key, make_result(), trace_fingerprint="fp")
             return real(victim, seen)
 
         monkeypatch.setattr(cache, "_unlink_if_unchanged", racing)
@@ -432,6 +433,7 @@ class TestGc:
         key = make_key()
         path = self.put_at(cache, key, mtime=0.0)
         seen = os.stat(path)
-        cache.put(key, make_result())  # replaced after the scan stat
+        # Replaced after the scan stat.
+        cache.put(key, make_result(), trace_fingerprint="fp")
         assert cache._unlink_if_unchanged(path, seen) is False
         assert os.path.exists(path)

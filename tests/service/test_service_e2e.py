@@ -311,7 +311,7 @@ def test_cells_endpoint_serves_cached_results(server, fake_sims):
     ]
     assert digests
     payload = client.cell(digests[0])
-    assert payload["format"] == "repro-result-cache/1"
+    assert payload["format"] == "repro-result-cache/2"
     assert "result" in payload
     with pytest.raises(ServiceError) as excinfo:
         client.cell("0" * 16)

@@ -22,7 +22,8 @@ from repro.validation.experiments import (
     table4_features,
     table5_stability,
 )
-from repro.validation.harness import Harness
+from repro.result import SimResult
+from repro.validation.harness import CellFailure, Harness, ResultGrid
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,33 @@ class TestTable3:
         ).alpha_error
         assert result.native_hm_ipc > 0
         assert "Table 3" in result.render()
+
+    def test_quarantined_cell_is_reported_not_raised(self, monkeypatch):
+        """A benchmark missing a cell (here a fake DS-10L quarantine on
+        ``mesa``) has no row and stays out of the means; the failure
+        rides along on the result."""
+        failure = CellFailure("DS-10L", "mesa", kind="invariant",
+                              message="maf_peak_occupancy")
+        grid = ResultGrid(failures=[failure])
+        cycles = {"DS-10L": 200.0, "sim-alpha": 180.0,
+                  "sim-stripped": 150.0, "sim-outorder": 120.0}
+        for workload in ("gzip", "mesa"):
+            for simulator, count in cycles.items():
+                if (simulator, workload) != ("DS-10L", "mesa"):
+                    grid.add(SimResult(simulator, workload, cycles=count,
+                                       instructions=100))
+        stub = Harness()
+        monkeypatch.setattr(stub, "run_grid", lambda *args, **kw: grid)
+        result = table3_macro(stub, benchmarks=["gzip", "mesa"])
+        assert [row.benchmark for row in result.rows] == ["gzip"]
+        assert result.failures == [failure]
+        assert result.alpha_mean_error == pytest.approx(10.0)
+        assert result.native_hm_ipc == pytest.approx(0.5)
+        with pytest.raises(KeyError):
+            result.row("mesa")
+        rendered = result.render()
+        assert "1 cell(s) missing" in rendered
+        assert "DS-10L on mesa: invariant" in rendered
 
 
 class TestTable4:
