@@ -46,7 +46,8 @@ class SleepSim:
     def name(self) -> str:
         return self.config.name
 
-    def run_trace(self, trace, workload: str) -> SimResult:
+    def run_trace(self, trace, workload: str, *, observer=None,
+                  watchdog=None, blockcache=None) -> SimResult:
         time.sleep(self.config.seconds)
         instructions = len(trace)
         return SimResult(

@@ -1,17 +1,19 @@
 """Experiment execution: process-pool parallelism + on-disk memoization.
 
 The entry point is :class:`ExperimentEngine` (or, more conveniently,
-the ``jobs=`` / ``cache=`` keywords on
-:meth:`repro.validation.harness.Harness.run_grid`, which delegate
-here)::
+:meth:`repro.validation.harness.Harness.run_grid` with a
+:class:`RunOptions` asking for ``jobs``, a ``cache`` or a
+``checkpoint``, which delegates here)::
 
+    from repro.exec import RunOptions
     from repro.validation import Harness
     from repro.core.simalpha import SimAlpha
     from repro.simulators.simoutorder import SimOutOrder
 
     grid = Harness().run_grid(
         [SimAlpha, SimOutOrder], ["C-R", "M-D", "gzip"],
-        jobs=4, cache=".repro-cache", timeout=120.0, retries=1,
+        RunOptions(jobs=4, cache=".repro-cache", timeout=120.0,
+                   retries=1),
     )
     for failure in grid.failures:      # fault-isolated, never raises
         print(failure.kind, failure.simulator, failure.workload)
@@ -21,16 +23,17 @@ workload, program digest, package version — so a second run over
 unchanged inputs is pure cache hits, builds no trace, and serialises
 byte-identically to the run that populated the cache.
 
-For crash-safe distribution one level up, :class:`ShardCoordinator`
-(``shards=`` on ``run_grid``) partitions the grid into work-stealing
-leases over :class:`ShardRunner` subprocesses, each journaling to its
-own fsynced :class:`~repro.integrity.GridCheckpoint`, so runner loss —
-or coordinator loss, with a checkpoint — never loses completed cells.
+``jobs=N`` is the only way cells run in child processes: the engine
+forks one worker per cell attempt, so a worker's death costs one
+attempt of one cell (retried, or settled as ``kind="crash"``).  With a
+``checkpoint`` the parent journals every settled cell through a
+fsynced :class:`~repro.integrity.GridCheckpoint`, so a killed parent
+resumes (``resume=True``) without recomputing a journaled cell.
 """
 
 # Exports resolve lazily (PEP 562): the spec module must be importable
 # from repro.validation.harness without this package init dragging in
-# engine/coordinator, which import harness right back.
+# the engine, which imports harness right back.
 _EXPORTS = {
     "CacheCheck": "repro.exec.cache",
     "CacheKey": "repro.exec.cache",
@@ -38,8 +41,6 @@ _EXPORTS = {
     "check_cache": "repro.exec.cache",
     "fingerprint_trace": "repro.exec.cache",
     "instr_signature": "repro.exec.cache",
-    "ShardCoordinator": "repro.exec.coordinator",
-    "shard_status": "repro.exec.coordinator",
     "CellFailure": "repro.exec.engine",
     "ExperimentEngine": "repro.exec.engine",
     "grid_cells": "repro.exec.engine",
@@ -48,11 +49,6 @@ _EXPORTS = {
     "SpecError": "repro.exec.spec",
     "register_simulator": "repro.exec.spec",
     "simulator_registry": "repro.exec.spec",
-    "Lease": "repro.exec.shard",
-    "PipeTransport": "repro.exec.shard",
-    "ShardRunner": "repro.exec.shard",
-    "Transport": "repro.exec.shard",
-    "shard_journal_path": "repro.exec.shard",
 }
 
 __all__ = sorted(_EXPORTS)

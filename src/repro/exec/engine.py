@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blockcache import BLOCKCACHE_VERSION
 from repro.exec.cache import CacheKey, ResultCache, fingerprint_trace
-from repro.exec.spec import RunOptions, fold_legacy_kwargs
+from repro.exec.spec import RunOptions
 from repro.integrity.checkpoint import GridCheckpoint
 from repro.integrity.sanitizers import (
     IntegrityError,
@@ -85,9 +85,9 @@ class RetryBackoff:
 
     ``max_delay_s`` is an explicit hard ceiling on any single returned
     delay, independent of how ``cap_s`` was (mis)configured: the retry
-    budget caps the *number* of attempts, but a re-leased shard
-    chaining backoffs through a pathological ``cap_s`` could otherwise
-    sleep for minutes while its lease expires under it.
+    budget caps the *number* of attempts, but a pathological ``cap_s``
+    could otherwise stall a grid for minutes between two attempts of
+    one cell.
     """
 
     #: Hard ceiling on any single delay (seconds) unless overridden.
@@ -201,11 +201,11 @@ def grid_cells(
 
     Probes each factory once for its identity and content-addresses
     each cell when ``keyed``, from the workload's cached program digest
-    — no trace is built here (see :func:`build_traces`).  Shared by the
-    engine, the shard coordinator/runners and ``refresh_cell``: every
-    side derives its cell list — and therefore its cache-key digests —
-    from this one function, so a lease index, a journal entry and a
-    cache entry refer to the same cell everywhere.
+    — no trace is built here (see :func:`build_traces`).  Shared by
+    :meth:`ExperimentEngine.run_grid` and ``refresh_cell``: both derive
+    their cells — and therefore their cache-key digests — from this
+    one function, so a journal entry and a cache entry refer to the
+    same cell everywhere.
     """
     probes = [_simulator_identity(factory) for factory in factories]
     cells: List[_Cell] = []
@@ -243,7 +243,7 @@ def _worker_main(conn, factory, workload, workload_set, instrumentation,
     # A Ctrl-C in the parent delivers SIGINT to the whole foreground
     # process group.  The parent owns shutdown (it terminates and joins
     # the pool); workers ignoring SIGINT turn that into one clean
-    # coordinator-side teardown instead of a KeyboardInterrupt
+    # parent-side teardown instead of a KeyboardInterrupt
     # traceback stampede from every pool worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     install_escalation_handler()
@@ -306,8 +306,7 @@ class ExperimentEngine:
         resume satisfies already-journaled cells), ``watchdog_s``
         (in-run livelock stall budget), and ``blockcache``
         (trace-compilation control, mixed into cache keys whenever the
-        fast path may engage).  The historical keyword arguments still
-        fold in through a deprecation shim.
+        fast path may engage).
     metrics:
         A :class:`MetricsRegistry`; receives ``exec.cache.*`` traffic
         counters, per-cell ``exec.cell.*`` timers, and pool counters.
@@ -323,12 +322,6 @@ class ExperimentEngine:
         to a 2s cap, with deterministic jitter).
     """
 
-    #: The pre-RunOptions keyword surface, folded in with a warning.
-    _LEGACY_INIT = (
-        "jobs", "cache", "timeout", "retries", "refresh", "watchdog_s",
-        "checkpoint", "resume", "escalation_grace_s", "blockcache",
-    )
-
     def __init__(
         self,
         workloads: Optional[WorkloadSet] = None,
@@ -337,12 +330,8 @@ class ExperimentEngine:
         metrics: Optional[MetricsRegistry] = None,
         sanitizers: Optional[Sanitizers] = None,
         backoff: Optional[RetryBackoff] = None,
-        **legacy,
     ):
-        opts = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_INIT,
-            owner="ExperimentEngine()",
-        )
+        opts = options if options is not None else RunOptions()
         self.options = opts
         self.workloads = workloads or WorkloadSet()
         self.blockcache = opts.blockcache
@@ -691,41 +680,6 @@ class ExperimentEngine:
                 )
                 return result
         return None  # pragma: no cover - loop always settles
-
-    def run_cell(self, cell: _Cell, *, harness=None, instrumentation=None):
-        """Execute one prepared cell in-process and settle it.
-
-        The shard runner's per-lease entry point (cells come from
-        :func:`grid_cells`).  Checkpoint and cache hits are served
-        without recompute — a re-granted lease over already-journaled
-        cells costs nothing — and fresh successes are recorded into
-        both before returning, so the caller may acknowledge the cell
-        as durable.
-
-        Returns ``(status, payload, source)`` where status is ``"ok"``
-        (payload is the :class:`SimResult`; source is ``"checkpoint"``,
-        ``"cache"`` or ``"run"``) or ``"failed"`` (payload is the
-        :class:`CellFailure`).
-        """
-        if cell.key is not None:
-            digest = cell.key.digest()
-            if self.checkpoint is not None:
-                hit = self.checkpoint.get(digest)
-                if hit is not None:
-                    self.metrics.counter("exec.checkpoint.resumed").inc()
-                    return ("ok", hit, "checkpoint")
-            if self.cache is not None and not self.refresh:
-                hit = self.cache.get(cell.key)
-                if hit is not None:
-                    return ("ok", hit, "cache")
-        failures: Dict[int, CellFailure] = {}
-        result = self._execute_cell(
-            harness if harness is not None else self._cell_harness(),
-            cell, instrumentation, failures,
-        )
-        if result is not None:
-            return ("ok", result, "run")
-        return ("failed", failures[cell.index], "run")
 
     def _run_inprocess(self, to_run, results, failures,
                        instrumentation, progress) -> None:

@@ -7,10 +7,10 @@ Every way of running a grid — the Python API
 (:mod:`repro.service`) — is a view over the same two frozen request
 objects:
 
-* :class:`RunOptions` collapses the execution knobs that used to be
-  ~15 ad-hoc keyword arguments (jobs, cache, timeout, retries,
-  checkpoint/resume, ledger, sanitizers, shards, blockcache, ...)
-  into one value object with canonical JSON round-tripping;
+* :class:`RunOptions` holds every execution knob (jobs, cache,
+  timeout, retries, checkpoint/resume, ledger, sanitizers,
+  blockcache, ...) in one value object with canonical JSON
+  round-tripping;
 * :class:`ExperimentSpec` adds *what* to run — simulator names,
   workload names, per-simulator configuration overrides — on top of a
   :class:`RunOptions`, and hashes canonically so identical requests
@@ -34,9 +34,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "RunOptions",
@@ -44,7 +43,6 @@ __all__ = [
     "SpecError",
     "simulator_registry",
     "register_simulator",
-    "fold_legacy_kwargs",
 ]
 
 
@@ -91,15 +89,15 @@ def _coerce_blockcache(value):
 class RunOptions:
     """How to execute a grid: the complete, typed set of execution
     options shared by ``Harness.run_grid``, :class:`~repro.exec.
-    engine.ExperimentEngine`, :class:`~repro.exec.coordinator.
-    ShardCoordinator`, the CLI, and the job service.
+    engine.ExperimentEngine`, the CLI, and the job service.
 
     Every field has a serial-safe default, so ``RunOptions()`` is the
     plain in-process serial run.  Instances are frozen; derive
     variants with :meth:`replace`.
     """
 
-    #: Worker processes for the parallel engine (1 = in-process).
+    #: Worker processes for the engine's fork-per-cell pool
+    #: (1 = in-process).
     jobs: int = 1
     #: Result-cache directory (or a live ``ResultCache``).
     cache: Optional[object] = None
@@ -117,8 +115,6 @@ class RunOptions:
     ledger: Optional[object] = None
     #: Render the live cells/s + ETA progress line.
     live_progress: bool = False
-    #: Crash-safe work-stealing shard runners (1 = no sharding).
-    shards: int = 1
     #: Arm the invariant sanitizers (quarantine violating cells).
     sanitize: bool = False
     #: With sanitize: abort on the first violation instead.
@@ -145,8 +141,6 @@ class RunOptions:
     def __post_init__(self):
         if int(self.jobs) < 1:
             raise SpecError(f"jobs must be >= 1 (got {self.jobs})")
-        if int(self.shards) < 1:
-            raise SpecError(f"shards must be >= 1 (got {self.shards})")
         if int(self.retries) < 0:
             raise SpecError(f"retries must be >= 0 (got {self.retries})")
         if self.timeout is not None and self.timeout <= 0:
@@ -484,41 +478,3 @@ class ExperimentSpec:
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
-
-# ----------------------------------------------------------------------
-# The legacy-kwarg shim
-# ----------------------------------------------------------------------
-
-def fold_legacy_kwargs(
-    options: Optional[RunOptions],
-    legacy: Dict,
-    *,
-    allowed: Sequence[str],
-    owner: str,
-    stacklevel: int = 3,
-) -> RunOptions:
-    """Fold deprecated keyword arguments into a :class:`RunOptions`.
-
-    Emits one :class:`DeprecationWarning` per call naming every legacy
-    keyword used and the replacement, then applies them over
-    ``options`` (explicit legacy values win, matching the historical
-    behaviour).  Unknown keywords raise ``TypeError`` exactly like a
-    misspelled keyword argument always has.
-    """
-    base = options if options is not None else RunOptions()
-    if not legacy:
-        return base
-    unknown = sorted(set(legacy) - set(allowed))
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s) {unknown}"
-        )
-    warnings.warn(
-        f"passing {sorted(legacy)} to {owner} as keyword arguments is "
-        f"deprecated; pass options=RunOptions("
-        + ", ".join(f"{k}=..." for k in sorted(legacy))
-        + ") instead (from repro.exec.spec import RunOptions)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return base.replace(**legacy)

@@ -19,9 +19,9 @@ layers:
   running simulators that *prove* the layers above actually detect
   each corruption class (the detection matrix);
 * :mod:`repro.integrity.chaos` — the same adversarial discipline one
-  level up: kill shard runners and coordinators, drop/duplicate/delay
-  their messages, corrupt their journals, and *prove* the sharded
-  execution fabric still produces byte-identical grids.
+  level up: SIGKILL process-pool workers and the parent that
+  supervises them, corrupt the checkpoint journal, and *prove* the
+  pool still produces byte-identical grids (or diagnosable failures).
 """
 
 from repro.integrity.checkpoint import CheckpointConflict, GridCheckpoint

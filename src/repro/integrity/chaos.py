@@ -1,37 +1,30 @@
-"""Chaos harness: prove the shard coordinator survives real crashes.
+"""Chaos harness: prove the process pool survives real crashes.
 
 :mod:`repro.integrity.faultinject` corrupts *simulators* and demands
-the sanitizers catch them; this module corrupts the **execution
-fabric** one level up — the shard coordinator, its runners, their
-messages, and their journals — and demands the distributed invariants
-hold:
+the sanitizers catch them; this module attacks the **execution path**
+one level up — the engine's fork-per-cell pool, the parent that
+supervises it, and the checkpoint journal the parent writes — and
+demands the grid invariants hold:
 
-==========================  ===========================================
-scenario                    what it proves
-==========================  ===========================================
-``clean_control``           an undisturbed sharded run is byte-identical
-                            to the serial run (the yardstick every other
-                            scenario is measured against)
-``runner_sigkill``          SIGKILL a runner mid-grid with the respawn
-                            budget at zero: survivors steal its cells,
-                            its journaled work is recovered not redone
-``message_drop``            every Nth coordinator-side message silently
-                            vanishes (grants, acks, heartbeats): ready
-                            resend + lease regrant + journal replay
-                            converge anyway
-``message_duplicate``       every Nth message arrives twice: at-most-once
-                            commit dedups by digest (``shard.cells.
-                            deduped`` must move)
-``message_delay``           every Nth message stalls: nothing expires
-                            spuriously, nothing is lost
-``journal_corruption``      a runner's shard journal is garbage when the
-                            runner dies: the journal is quarantined and
-                            counted, its cells recompute
-``coordinator_kill``        SIGKILL the *coordinator* mid-grid, then
-                            resume: every journaled cell is recovered
-                            (zero recompute of completed work), the
-                            merged grid is byte-identical
-==========================  ===========================================
+========================  =============================================
+scenario                  what it proves
+========================  =============================================
+``clean-control``         an undisturbed ``jobs=2`` run is byte-identical
+                          to the serial run (the yardstick every other
+                          scenario is measured against)
+``worker-sigkill``        SIGKILL a live pool worker mid-grid: with
+                          ``retries=1`` its cell is retried and the grid
+                          is byte-identical; with ``retries=0`` the cell
+                          settles as a ``kind="crash"`` failure and every
+                          other cell still completes
+``parent-kill``           SIGKILL the parent (and its workers) of a
+                          checkpointed ``jobs=2`` run, then resume: every
+                          journaled cell is recovered (zero recompute of
+                          completed work), the grid is byte-identical
+``journal-corruption``    a damaged journal on resume raises a
+                          ``ValueError`` naming its path and is left
+                          untouched — raise, never discard
+========================  =============================================
 
 Every scenario must end **complete and byte-identical**
 (``ResultGrid.to_json(canonical=True)`` against the serial baseline)
@@ -40,28 +33,27 @@ silently missing or doubled cell.  :attr:`ChaosReport.all_passed` is
 the CI gate (the ``chaos-smoke`` job runs the kill scenarios under a
 hard wall-clock timeout precisely so a hang fails loudly).
 
-The injection seam is :class:`ChaosTransport`, a wrapper over the
-coordinator-side :class:`~repro.exec.shard.Transport` installed via
-``ShardCoordinator(transport_wrapper=...)`` — production code paths
-only, no test doubles inside the coordinator.
+The faults come from outside the engine — a signal from the
+``progress`` callback, a killed process group, a file overwritten on
+disk — so only production code paths run, with no test doubles inside
+the engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import signal
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.exec.coordinator import ShardCoordinator, shard_status
-from repro.exec.shard import Transport, shard_journal_path
 from repro.exec.spec import RunOptions
+from repro.integrity.checkpoint import GridCheckpoint
 from repro.obs.registry import MetricsRegistry
 from repro.result import RunStats, SimResult
 from repro.validation.harness import Harness
@@ -71,96 +63,16 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "ChaosOutcome",
     "ChaosReport",
-    "ChaosTransport",
     "run_chaos_scenario",
     "run_chaos_suite",
 ]
 
-#: Workloads every scenario runs (small but two-family, so lease
-#: stealing has real work to move around).
+#: Workloads every scenario runs (small but two-family).
 CHAOS_WORKLOADS = ("C-R", "E-I")
 #: Simulator columns per scenario grid.
 CHAOS_SIMS = 4
-
-
-# -- the perturbed transport -----------------------------------------------
-
-
-class ChaosTransport(Transport):
-    """Deterministically hostile :class:`Transport` wrapper.
-
-    Counts messages in each direction and, on every ``*_every``-th one,
-    drops it (a send vanishes; a recv looks like a timeout), duplicates
-    it (recv only: the copy is queued and surfaced through
-    :meth:`pending`, exactly the buffered-message case the coordinator
-    must poll for), or delays it by ``delay_s``.  Counter-based rather
-    than random, so every chaos run is reproducible.
-    """
-
-    def __init__(
-        self,
-        inner: Transport,
-        *,
-        drop_every: int = 0,
-        duplicate_every: int = 0,
-        delay_every: int = 0,
-        delay_s: float = 0.05,
-    ):
-        self.inner = inner
-        self.drop_every = int(drop_every)
-        self.duplicate_every = int(duplicate_every)
-        self.delay_every = int(delay_every)
-        self.delay_s = float(delay_s)
-        self.sent = 0
-        self.received = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
-        self._queued: deque = deque()
-
-    @property
-    def connection(self):
-        return self.inner.connection
-
-    def _hit(self, every: int, count: int) -> bool:
-        return every > 0 and count % every == 0
-
-    def send(self, message) -> None:
-        self.sent += 1
-        if self._hit(self.drop_every, self.sent):
-            self.dropped += 1
-            return
-        if self._hit(self.delay_every, self.sent):
-            self.delayed += 1
-            time.sleep(self.delay_s)
-        self.inner.send(message)
-
-    def recv(self, timeout: Optional[float] = None):
-        if self._queued:
-            return self._queued.popleft()
-        message = self.inner.recv(timeout)
-        if message is None:
-            return None
-        self.received += 1
-        if self._hit(self.drop_every, self.received):
-            self.dropped += 1
-            return None
-        if self._hit(self.delay_every, self.received):
-            self.delayed += 1
-            time.sleep(self.delay_s)
-        if self._hit(self.duplicate_every, self.received):
-            self.duplicated += 1
-            self._queued.append(message)
-        return message
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return bool(self._queued) or self.inner.poll(timeout)
-
-    def pending(self) -> bool:
-        return bool(self._queued)
-
-    def close(self) -> None:
-        self.inner.close()
+#: Pool width of every chaos grid.
+CHAOS_JOBS = 2
 
 
 # -- the workload under chaos ----------------------------------------------
@@ -176,8 +88,8 @@ class _ChaosConfig:
 
 
 class _ChaosSim:
-    """Deterministic, nearly-free simulator for fabric chaos runs
-    (the faults live in the fabric here, never in the simulator)."""
+    """Deterministic, nearly-free simulator for pool chaos runs (the
+    faults live in the execution path here, never in the simulator)."""
 
     def __init__(self, config: _ChaosConfig):
         self.config = config
@@ -186,7 +98,8 @@ class _ChaosSim:
     def name(self) -> str:
         return self.config.name
 
-    def run_trace(self, trace, workload: str) -> SimResult:
+    def run_trace(self, trace, workload: str, *, observer=None,
+                  watchdog=None, blockcache=None) -> SimResult:
         if self.config.delay_s:
             time.sleep(self.config.delay_s)
         instructions = len(trace)
@@ -229,9 +142,9 @@ def _baseline(workloads: WorkloadSet, names, delay_s: float = 0.0) -> str:
 
 def _counters(metrics: MetricsRegistry) -> Dict[str, int]:
     return {
-        name: counter.value
-        for name, counter in sorted(metrics._counters.items())
-        if name.startswith(("shard.", "exec."))
+        name: int(value)
+        for name, value in metrics.snapshot()["counters"].items()
+        if name.startswith("exec.")
     }
 
 
@@ -246,12 +159,13 @@ class ChaosOutcome:
     description: str
     passed: bool
     #: Final grid matched the serial baseline byte-for-byte under
-    #: canonical serialisation.
+    #: canonical serialisation (``journal-corruption``, which builds
+    #: no grid: the damaged journal's bytes were left as they were).
     byte_identical: bool
     detail: str = ""
     elapsed_s: float = 0.0
-    #: ``shard.*`` / ``exec.*`` counters after the run — the recovery
-    #: machinery's own account of what happened.
+    #: ``exec.*`` counters after the run — the engine's own account of
+    #: what happened (retries, failures, resumed cells).
     counters: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
@@ -289,340 +203,213 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+def _outcome(name: str, started: float, identical: bool, problem: str,
+             summary: str, counters: Dict[str, int]) -> ChaosOutcome:
+    description, _ = CHAOS_SCENARIOS[name]
+    passed = identical and not problem
+    return ChaosOutcome(
+        scenario=name, description=description, passed=passed,
+        byte_identical=identical,
+        detail=summary if passed else problem,
+        elapsed_s=round(time.perf_counter() - started, 3),
+        counters=counters,
+    )
+
+
 # -- scenarios --------------------------------------------------------------
 
 
-def _run_scenario(
-    name: str,
-    description: str,
-    workloads: WorkloadSet,
-    *,
-    delay_s: float = 0.0,
-    transport_wrapper=None,
-    on_event=None,
-    max_respawns: Optional[int] = None,
-    lease_timeout_s: float = 15.0,
-    checks: Optional[
-        Callable[[Dict[str, int]], Optional[str]]
-    ] = None,
-) -> ChaosOutcome:
-    """Common body: shard the grid under the given perturbation, then
-    demand byte-identity plus scenario-specific counter evidence."""
+def _scenario_clean_control(workloads: WorkloadSet) -> ChaosOutcome:
     names = list(CHAOS_WORKLOADS)
-    baseline = _baseline(workloads, names, delay_s)
+    baseline = _baseline(workloads, names)
     metrics = MetricsRegistry()
     started = time.perf_counter()
-    coordinator = ShardCoordinator(
-        workloads,
-        RunOptions(shards=3),
-        lease_timeout_s=lease_timeout_s,
-        max_respawns=max_respawns,
-        metrics=metrics,
-        transport_wrapper=transport_wrapper,
-        on_event=on_event,
+    grid = Harness(workloads, metrics=metrics).run_grid(
+        _factories(), names, RunOptions(jobs=CHAOS_JOBS)
     )
-    grid = coordinator.run_grid(_factories(delay_s), names)
-    elapsed = time.perf_counter() - started
     counters = _counters(metrics)
     identical = grid.to_json(canonical=True) == baseline
-    detail = ""
-    if not identical:
-        missing = len(names) * CHAOS_SIMS - sum(
-            len(row) for row in grid.results.values()
-        )
-        detail = (
-            f"grid diverged from serial baseline "
-            f"({missing} cells missing, "
-            f"{len(grid.failures)} failures)"
-        )
-    elif checks is not None:
-        detail = checks(counters) or ""
-    passed = identical and not detail
-    if passed:
-        detail = _summarise(counters)
-    return ChaosOutcome(
-        scenario=name, description=description, passed=passed,
-        byte_identical=identical, detail=detail,
-        elapsed_s=round(elapsed, 3), counters=counters,
+    problem = "" if identical else "grid diverged from serial baseline"
+    if identical and (counters.get("exec.cells.retried")
+                      or counters.get("exec.cells.failed")):
+        problem = "control run should neither retry nor fail a cell"
+    return _outcome(
+        "clean-control", started, identical, problem,
+        f"completed={counters.get('exec.cells.completed', 0)}", counters,
     )
 
 
-def _summarise(counters: Dict[str, int]) -> str:
-    interesting = (
-        "shard.cells.computed", "shard.cells.recovered",
-        "shard.cells.deduped", "shard.leases.regranted",
-        "shard.runners.lost", "shard.journals.corrupt",
-    )
-    parts = [
-        f"{key.split('.', 1)[1]}={counters[key]}"
-        for key in interesting
-        if counters.get(key)
-    ]
-    return ", ".join(parts) or "clean"
+class _WorkerKiller:
+    """A ``progress`` callback that SIGKILLs the pool worker launched
+    for the ``at``-th cell attempt, once.
+
+    The engine calls ``progress`` in the parent right after forking a
+    worker, so the only live child not seen at an earlier call is that
+    cell's worker: killing it lands before the cell can report."""
+
+    def __init__(self, at: int):
+        self.at = at
+        self.calls = 0
+        self.seen: set = set()
+        self.killed: Optional[tuple] = None
+
+    def __call__(self, simulator: str, workload: str) -> None:
+        self.calls += 1
+        fresh = [
+            child for child in multiprocessing.active_children()
+            if child.pid not in self.seen
+        ]
+        self.seen.update(child.pid for child in fresh)
+        if self.killed is None and self.calls >= self.at and len(fresh) == 1:
+            os.kill(fresh[0].pid, signal.SIGKILL)
+            self.killed = (simulator, workload)
 
 
-def _scenario_clean_control(workloads: WorkloadSet) -> ChaosOutcome:
-    def checks(counters):
-        if counters.get("shard.cells.deduped"):
-            return "control run should commit nothing twice"
-        if counters.get("shard.runners.lost"):
-            return "control run should lose no runners"
-        return None
-
-    return _run_scenario(
-        "clean_control",
-        "undisturbed sharded run matches the serial run",
-        workloads, checks=checks,
-    )
-
-
-def _scenario_runner_sigkill(workloads: WorkloadSet) -> ChaosOutcome:
-    pids: Dict[int, int] = {}
-    killed: List[int] = []
-
-    def on_event(event: str, payload: Dict) -> None:
-        if event == "runner_started":
-            pids[payload["runner_id"]] = payload["pid"]
-        elif (event == "cell_committed" and not killed
-                and payload.get("runner_id") is not None):
-            # Kill a runner that is *not* the one that just committed:
-            # it is mid-lease (or about to be), so its loss exercises
-            # the steal path, not just a clean exit.
-            victims = [
-                rid for rid in pids
-                if rid != payload["runner_id"]
-            ]
-            if victims:
-                os.kill(pids[victims[0]], signal.SIGKILL)
-                killed.append(victims[0])
-
-    def checks(counters):
-        if not killed:
-            return "no runner was killed (grid too fast?)"
-        if not counters.get("shard.runners.lost"):
-            return "kill was not observed as a lost runner"
-        return None
-
-    return _run_scenario(
-        "runner_sigkill",
-        "SIGKILL one runner mid-grid; survivors steal its cells",
-        workloads, delay_s=0.1, max_respawns=0,
-        lease_timeout_s=6.0, on_event=on_event, checks=checks,
-    )
-
-
-def _scenario_message_drop(workloads: WorkloadSet) -> ChaosOutcome:
-    chaotic: List[ChaosTransport] = []
-
-    def wrapper(transport, runner_id):
-        if runner_id % 2 == 0:
-            transport = ChaosTransport(transport, drop_every=3)
-            chaotic.append(transport)
-        return transport
-
-    def checks(counters):
-        if not any(t.dropped for t in chaotic):
-            return "no message was actually dropped"
-        return None
-
-    return _run_scenario(
-        "message_drop",
-        "every 3rd coordinator-side message vanishes",
-        workloads, transport_wrapper=wrapper,
-        lease_timeout_s=6.0, checks=checks,
-    )
-
-
-def _scenario_message_duplicate(workloads: WorkloadSet) -> ChaosOutcome:
-    chaotic: List[ChaosTransport] = []
-
-    def wrapper(transport, runner_id):
-        transport = ChaosTransport(transport, duplicate_every=2)
-        chaotic.append(transport)
-        return transport
-
-    def checks(counters):
-        if not any(t.duplicated for t in chaotic):
-            return "no message was actually duplicated"
-        return None
-
-    return _run_scenario(
-        "message_duplicate",
-        "every 2nd received message arrives twice; commits dedup",
-        workloads, transport_wrapper=wrapper, checks=checks,
-    )
-
-
-def _scenario_message_delay(workloads: WorkloadSet) -> ChaosOutcome:
-    def wrapper(transport, runner_id):
-        return ChaosTransport(transport, delay_every=2, delay_s=0.05)
-
-    return _run_scenario(
-        "message_delay",
-        "every 2nd message stalls 50ms; nothing expires spuriously",
-        workloads, transport_wrapper=wrapper,
-    )
-
-
-def _scenario_journal_corruption(workloads: WorkloadSet) -> ChaosOutcome:
-    pids: Dict[int, int] = {}
-    journals: Dict[int, str] = {}
-    corrupted: List[int] = []
-
-    def on_event(event: str, payload: Dict) -> None:
-        if event == "runner_started":
-            pids[payload["runner_id"]] = payload["pid"]
-        elif (event == "cell_committed" and not corrupted
-                and payload.get("runner_id") is not None):
-            rid = payload["runner_id"]
-            path = journals.get(rid)
-            if path and os.path.exists(path):
-                # Smash the journal the committing runner just fsynced,
-                # then kill the runner: recovery must quarantine the
-                # garbage and recompute, never crash or trust it.
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write("{corrupt! this is not a journal")
-                os.kill(pids[rid], signal.SIGKILL)
-                corrupted.append(rid)
-
-    def wrapper(transport, runner_id):
-        return transport  # no message chaos; just note journal paths
-
-    def checks(counters):
-        if not corrupted:
-            return "no journal was corrupted (grid too fast?)"
-        if not counters.get("shard.journals.corrupt"):
-            return "corrupt journal was not detected"
-        return None
-
+def _scenario_worker_sigkill(workloads: WorkloadSet) -> ChaosOutcome:
+    """SIGKILL one live worker per run: retried with ``retries=1``,
+    settled as ``kind="crash"`` with ``retries=0``."""
     names = list(CHAOS_WORKLOADS)
     baseline = _baseline(workloads, names, 0.1)
+    started = time.perf_counter()
+
     metrics = MetricsRegistry()
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-journal-")
-    base = os.path.join(tmp, "grid.journal")
-    for rid in range(3):
-        journals[rid] = shard_journal_path(base, rid)
-    try:
-        started = time.perf_counter()
-        coordinator = ShardCoordinator(
-            workloads, RunOptions(shards=3, checkpoint=base),
-            lease_timeout_s=6.0, metrics=metrics, on_event=on_event,
-            transport_wrapper=wrapper,
-        )
-        grid = coordinator.run_grid(_factories(0.1), names)
-        elapsed = time.perf_counter() - started
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    killer = _WorkerKiller(at=3)
+    grid = Harness(workloads, metrics=metrics).run_grid(
+        _factories(0.1), names,
+        RunOptions(jobs=CHAOS_JOBS, retries=1), progress=killer,
+    )
     counters = _counters(metrics)
     identical = grid.to_json(canonical=True) == baseline
-    detail = "" if identical else "grid diverged from serial baseline"
-    if identical:
-        detail = checks(counters) or ""
-    passed = identical and not detail
-    if passed:
-        detail = _summarise(counters)
-    return ChaosOutcome(
-        scenario="journal_corruption",
-        description=(
-            "a dead runner's shard journal is garbage; it is "
-            "quarantined and its cells recompute"
-        ),
-        passed=passed, byte_identical=identical, detail=detail,
-        elapsed_s=round(elapsed, 3), counters=counters,
+    problem = ""
+    if killer.killed is None:
+        problem = "no worker was killed (grid too fast?)"
+    elif not identical:
+        problem = (
+            f"retried grid diverged from serial baseline "
+            f"({len(grid.failures)} failures)"
+        )
+    elif counters.get("exec.cells.retried") != 1:
+        problem = (
+            f"expected one retry, engine counted "
+            f"{counters.get('exec.cells.retried', 0)}"
+        )
+    if problem:
+        return _outcome(
+            "worker-sigkill", started, identical, problem, "", counters
+        )
+
+    # No retry budget: the killed cell must settle as a crash, and
+    # every other cell must still equal its serial result.
+    no_retry = _WorkerKiller(at=3)
+    settled = Harness(workloads).run_grid(
+        _factories(0.1), names,
+        RunOptions(jobs=CHAOS_JOBS, retries=0), progress=no_retry,
+    )
+    def by_cell(text: str) -> Dict[tuple, Dict]:
+        return {
+            (entry["simulator"], entry["workload"]): entry
+            for entry in json.loads(text)["results"]
+        }
+
+    expected = by_cell(baseline)
+    survivors = by_cell(settled.to_json(canonical=True))
+    failures = [(f.simulator, f.workload, f.kind)
+                for f in settled.failures]
+    if no_retry.killed is None:
+        problem = "no worker was killed in the retries=0 run"
+    elif failures != [no_retry.killed + ("crash",)]:
+        problem = (
+            f"killed {no_retry.killed} with retries=0 but the grid "
+            f"recorded failures {failures}"
+        )
+    elif survivors != {
+        cell: entry for cell, entry in expected.items()
+        if cell != no_retry.killed
+    }:
+        problem = "surviving cells diverged from the serial baseline"
+    sim, workload = no_retry.killed or ("", "")
+    return _outcome(
+        "worker-sigkill", started, identical, problem,
+        f"retried={counters.get('exec.cells.retried', 0)}; retries=0: "
+        f"{sim} on {workload} settled as crash",
+        counters,
     )
 
 
-def _coordinator_child(base: str, names: Sequence[str]) -> None:
-    """Body of the victim coordinator process (killed by the parent)."""
+def _parent_child(path: str, names: Sequence[str]) -> None:
+    """Body of the victim parent: a checkpointed ``jobs=2`` grid."""
+    os.setpgrp()  # its own process group, so the kill takes the pool too
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    coordinator = ShardCoordinator(
-        WorkloadSet(), RunOptions(shards=2, checkpoint=base),
-        lease_timeout_s=15.0,
+    Harness(WorkloadSet()).run_grid(
+        _factories(0.25), list(names),
+        RunOptions(jobs=CHAOS_JOBS, checkpoint=path),
     )
-    coordinator.run_grid(_factories(0.25), list(names))
     os._exit(0)
 
 
-def _scenario_coordinator_kill(workloads: WorkloadSet) -> ChaosOutcome:
-    """SIGKILL the whole coordinator mid-grid; a fresh coordinator
-    with ``resume=True`` must finish from the journals without
-    recomputing any journaled cell."""
-    import multiprocessing
+def _journaled(path: str) -> int:
+    """Cells in the journal at ``path`` (flushes are atomic renames, so
+    a reader never sees a torn file)."""
+    return len(GridCheckpoint(path).load())
 
+
+def _scenario_parent_kill(workloads: WorkloadSet) -> ChaosOutcome:
+    """SIGKILL a checkpointed grid's parent (and its pool workers)
+    after at least two journaled cells; a resumed run must recover
+    every journaled cell without recomputing it."""
     names = list(CHAOS_WORKLOADS)
+    total = len(names) * CHAOS_SIMS
     baseline = _baseline(workloads, names, 0.25)
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-coord-")
-    base = os.path.join(tmp, "grid.journal")
+    tmp = tempfile.mkdtemp(prefix="repro-chaos-parent-")
+    path = os.path.join(tmp, "grid.journal")
     ctx = multiprocessing.get_context("fork")
     started = time.perf_counter()
-    child = ctx.Process(
-        target=_coordinator_child, args=(base, names), daemon=False,
-    )
+    child = ctx.Process(target=_parent_child, args=(path, names))
     child.start()
     try:
-        # Wait until at least one cell is durably journaled, then pull
-        # the plug on the whole coordinator process tree.
-        journaled = 0
         deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline and child.is_alive():
-            status = shard_status(base)
-            journaled = sum(
-                record["entries"] for record in status["journals"]
-            )
-            if journaled >= 1:
-                break
-            time.sleep(0.05)
-        if child.is_alive():
-            os.kill(child.pid, signal.SIGKILL)
+        while (time.monotonic() < deadline and child.is_alive()
+               and _journaled(path) < 2):
+            time.sleep(0.02)
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         child.join(timeout=10.0)
-
-        total = len(names) * CHAOS_SIMS
-        if journaled < 1:
-            return ChaosOutcome(
-                scenario="coordinator_kill",
-                description="kill and resume the coordinator itself",
-                passed=False, byte_identical=False,
-                detail="coordinator finished before it could be killed",
-                counters={},
+        journaled = _journaled(path)
+        if not 2 <= journaled < total:
+            return _outcome(
+                "parent-kill", started, False,
+                f"parent killed with {journaled} of {total} cells "
+                f"journaled (needs at least 2 and not all)", "", {},
             )
-
         metrics = MetricsRegistry()
-        coordinator = ShardCoordinator(
-            workloads,
-            RunOptions(shards=2, checkpoint=base, resume=True),
-            lease_timeout_s=15.0, metrics=metrics,
+        grid = Harness(workloads, metrics=metrics).run_grid(
+            _factories(0.25), names,
+            RunOptions(jobs=CHAOS_JOBS, checkpoint=path, resume=True),
         )
-        # Same factories (and thus digests) as the killed coordinator.
-        grid = coordinator.run_grid(_factories(0.25), names)
-        elapsed = time.perf_counter() - started
         counters = _counters(metrics)
         identical = grid.to_json(canonical=True) == baseline
-        recovered = counters.get("shard.cells.recovered", 0)
-        computed = counters.get("shard.cells.computed", 0)
-        detail = ""
+        resumed = counters.get("exec.checkpoint.resumed", 0)
+        computed = counters.get("exec.cells.completed", 0)
+        problem = ""
         if not identical:
-            detail = "resumed grid diverged from serial baseline"
-        elif recovered < journaled:
-            detail = (
-                f"only {recovered} of {journaled} journaled cells "
-                f"were recovered — completed work was recomputed"
+            problem = "resumed grid diverged from serial baseline"
+        elif resumed != journaled:
+            problem = (
+                f"{resumed} of {journaled} journaled cells resumed — "
+                f"completed work was recomputed"
             )
-        elif recovered + computed != total:
-            detail = (
-                f"recovered ({recovered}) + computed ({computed}) "
-                f"!= total cells ({total})"
+        elif resumed + computed != total:
+            problem = (
+                f"resumed ({resumed}) + computed ({computed}) != total "
+                f"cells ({total})"
             )
-        passed = identical and not detail
-        if passed:
-            detail = (
-                f"killed with {journaled} journaled, recovered="
-                f"{recovered}, computed={computed}"
-            )
-        return ChaosOutcome(
-            scenario="coordinator_kill",
-            description="kill and resume the coordinator itself",
-            passed=passed, byte_identical=identical, detail=detail,
-            elapsed_s=round(elapsed, 3), counters=counters,
+        return _outcome(
+            "parent-kill", started, identical, problem,
+            f"killed with {journaled} journaled, resumed={resumed}, "
+            f"computed={computed}",
+            counters,
         )
     finally:
         if child.is_alive():  # pragma: no cover - cleanup race
@@ -631,35 +418,65 @@ def _scenario_coordinator_kill(workloads: WorkloadSet) -> ChaosOutcome:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _scenario_journal_corruption(workloads: WorkloadSet) -> ChaosOutcome:
+    """Resume over a damaged journal: the engine must raise a
+    ``ValueError`` naming the path and leave the bytes on disk
+    untouched, so no completed work is ever silently discarded."""
+    names = list(CHAOS_WORKLOADS)
+    tmp = tempfile.mkdtemp(prefix="repro-chaos-journal-")
+    path = os.path.join(tmp, "grid.journal")
+    damaged = b"{corrupt! this is not a journal"
+    with open(path, "wb") as handle:
+        handle.write(damaged)
+    metrics = MetricsRegistry()
+    started = time.perf_counter()
+    try:
+        try:
+            Harness(workloads, metrics=metrics).run_grid(
+                _factories(), names,
+                RunOptions(jobs=CHAOS_JOBS, checkpoint=path, resume=True),
+            )
+        except ValueError as exc:
+            error = str(exc)
+        else:
+            error = ""
+        with open(path, "rb") as handle:
+            untouched = handle.read() == damaged
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    counters = _counters(metrics)
+    problem = ""
+    if not error:
+        problem = "resume over a damaged journal did not raise"
+    elif path not in error:
+        problem = f"the error does not name the journal: {error}"
+    elif not untouched:
+        problem = "the damaged journal was rewritten"
+    elif counters.get("exec.cells.launched"):
+        problem = "cells ran despite the damaged journal"
+    return _outcome(
+        "journal-corruption", started, untouched, problem,
+        "raised ValueError naming the journal; file untouched", counters,
+    )
+
+
 #: scenario name -> (description, implementation).
 CHAOS_SCENARIOS: Dict[str, tuple] = {
     "clean-control": (
-        "undisturbed sharded run, byte-identical to serial",
+        "undisturbed jobs=2 run, byte-identical to serial",
         _scenario_clean_control,
     ),
-    "runner-sigkill": (
-        "SIGKILL a runner mid-grid; survivors steal its cells",
-        _scenario_runner_sigkill,
+    "worker-sigkill": (
+        "SIGKILL a pool worker mid-grid; retried, or settled as crash",
+        _scenario_worker_sigkill,
     ),
-    "message-drop": (
-        "drop every 3rd coordinator-side message",
-        _scenario_message_drop,
-    ),
-    "message-duplicate": (
-        "duplicate every 2nd received message",
-        _scenario_message_duplicate,
-    ),
-    "message-delay": (
-        "delay every 2nd message by 50ms",
-        _scenario_message_delay,
+    "parent-kill": (
+        "SIGKILL a checkpointed parent, then resume from its journal",
+        _scenario_parent_kill,
     ),
     "journal-corruption": (
-        "corrupt a dead runner's shard journal",
+        "resume over a damaged journal raises and leaves it untouched",
         _scenario_journal_corruption,
-    ),
-    "coordinator-kill": (
-        "SIGKILL the coordinator, then resume from journals",
-        _scenario_coordinator_kill,
     ),
 }
 

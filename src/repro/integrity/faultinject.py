@@ -315,7 +315,7 @@ class FaultedAlpha:
         return self.config.name
 
     def run_trace(self, trace, workload: str = "", *,
-                  observer=None, watchdog=None):
+                  observer=None, watchdog=None, blockcache=None):
         fault = self.fault
         if fault == "trace_truncation":
             trace = list(trace)[: max(1, len(trace) // 2)]
@@ -324,6 +324,8 @@ class FaultedAlpha:
                 trace, "crash" if fault == "worker_crash" else "hang"
             )
         pipeline = AlphaPipeline(self.config)
+        # The grid's ``blockcache`` setting is ignored: only the
+        # blockcache-corruption fault picks a fast-path configuration.
         blockcache = None
         if fault == "blockcache_corruption":
             from repro.core.blockcache import BlockCacheConfig

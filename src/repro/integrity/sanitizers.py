@@ -494,13 +494,20 @@ class RunSanitizer:
 
 
 class Sanitizers:
-    """User-facing bundle: policy + the per-run sanitizers it built.
+    """User-facing bundle: the policy per-run sanitizers are built from.
 
     Mirrors :class:`repro.obs.Instrumentation`: ``enabled=False`` makes
     :meth:`run_sanitizer` return ``None``, which every integration
     point treats as "no sanitization" — the zero-cost mode and the
     default.  ``strict=True`` escalates the first violation of any run
     to an :class:`IntegrityError` instead of quarantining.
+
+    The bundle keeps no reference to the sanitizers it hands out: each
+    one holds its run's attached
+    :class:`~repro.memory.hierarchy.MemoryHierarchy`, so a
+    long-lived bundle (a service, a serial grid) that remembered them
+    would grow by a hierarchy per cell.  A run's violations are read
+    from its own :class:`RunSanitizer`.
     """
 
     def __init__(
@@ -513,8 +520,6 @@ class Sanitizers:
         self.enabled = enabled
         self.strict = strict
         self.window = window
-        #: Per-run sanitizers handed out so far, in run order.
-        self.runs: List[RunSanitizer] = []
 
     @classmethod
     def disabled(cls) -> "Sanitizers":
@@ -526,17 +531,9 @@ class Sanitizers:
         """A fresh per-run sanitizer, or ``None`` when disabled."""
         if not self.enabled:
             return None
-        sanitizer = RunSanitizer(
+        return RunSanitizer(
             strict=self.strict,
             window=self.window,
             simulator=simulator,
             workload=workload,
         )
-        self.runs.append(sanitizer)
-        return sanitizer
-
-    def take_violations(self) -> List[InvariantViolation]:
-        """Drain every violation collected since the last call."""
-        violations = [v for run in self.runs for v in run.violations]
-        self.runs.clear()
-        return violations

@@ -133,7 +133,7 @@ class SimResult:
         """:meth:`to_dict` with the run-to-run volatile fields blanked
         (wall-clock provenance, resource telemetry — including the
         ``telemetry.source`` execution-path tag such as
-        ``"shard-<k>"``), so two results
+        ``"cache"``), so two results
         compare equal iff they measured the same thing.  This is the
         payload form ``ResultGrid.to_json(canonical=True)`` serialises
         and the one checkpoint merges compare when deciding whether two
@@ -168,10 +168,31 @@ class SimResult:
 
 
 class Simulator(Protocol):
-    """The interface the validation harness drives."""
+    """The interface the validation harness drives.
+
+    The harness passes all three keywords on every run, so every
+    simulator must accept them; one that has no use for a keyword
+    ignores it (only the Alpha pipeline honours ``blockcache``):
+
+    * ``observer`` — a :class:`repro.obs.RunObserver` (CPI stacks,
+      tracing, profiling, sanitizer windows) or ``None``;
+    * ``watchdog`` — a :class:`repro.integrity.Watchdog` livelock
+      detector or ``None``;
+    * ``blockcache`` — trace-compilation control: ``None`` (the
+      simulator's default), ``False``, ``True`` or a
+      ``BlockCacheConfig``.
+    """
 
     name: str
 
-    def run_trace(self, trace: Sequence[DynInstr], workload: str) -> SimResult:
+    def run_trace(
+        self,
+        trace: Sequence[DynInstr],
+        workload: str,
+        *,
+        observer=None,
+        watchdog=None,
+        blockcache=None,
+    ) -> SimResult:
         """Time a pre-computed dynamic trace."""
         ...

@@ -73,7 +73,15 @@ class EightWaySim:
     def name(self) -> str:
         return self.config.name
 
-    def run_trace(self, trace: Sequence[DynInstr], workload: str = "") -> SimResult:
+    def run_trace(
+        self,
+        trace: Sequence[DynInstr],
+        workload: str = "",
+        *,
+        observer=None,
+        watchdog=None,
+        blockcache=None,
+    ) -> SimResult:
         cfg = self.config
         stats = RunStats()
         dl1 = Cache(cfg.l1d)

@@ -42,7 +42,15 @@ class PerfectMachine:
     def name(self) -> str:
         return self.config.name
 
-    def run_trace(self, trace: Sequence[DynInstr], workload: str = "") -> SimResult:
+    def run_trace(
+        self,
+        trace: Sequence[DynInstr],
+        workload: str = "",
+        *,
+        observer=None,
+        watchdog=None,
+        blockcache=None,
+    ) -> SimResult:
         load_latency = self.config.load_latency
         reg_ready: Dict[str, float] = {}
         critical_path = 0.0

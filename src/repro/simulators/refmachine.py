@@ -88,7 +88,11 @@ class NativeMachine:
         *,
         observer=None,
         watchdog=None,
+        blockcache=None,
     ) -> SimResult:
+        # ``blockcache`` is accepted and ignored: the reference machine
+        # keeps its own default, so its results never depend on the
+        # grid's trace-compilation setting.
         result = self._machine.run_trace(
             trace, workload, observer=observer, watchdog=watchdog
         )

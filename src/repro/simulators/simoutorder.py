@@ -94,7 +94,15 @@ class SimOutOrder:
     def name(self) -> str:
         return self.config.name
 
-    def run_trace(self, trace: Sequence[DynInstr], workload: str = "") -> SimResult:
+    def run_trace(
+        self,
+        trace: Sequence[DynInstr],
+        workload: str = "",
+        *,
+        observer=None,
+        watchdog=None,
+        blockcache=None,
+    ) -> SimResult:
         cfg = self.config
         stats = RunStats()
         il1 = Cache(cfg.l1i)

@@ -77,7 +77,8 @@ class _SleepSim:
 
     name = "bench-sleep"
 
-    def run_trace(self, trace, workload: str = "") -> SimResult:
+    def run_trace(self, trace, workload: str = "", *, observer=None,
+                  watchdog=None, blockcache=None) -> SimResult:
         time.sleep(_SLEEP_CELL_S)
         return SimResult(
             simulator=self.name,

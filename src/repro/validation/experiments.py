@@ -209,8 +209,8 @@ def table2_micro(
     microbenchmarks.
 
     ``options`` picks the execution engine (``jobs``, ``cache``,
-    ``shards`` — see :class:`~repro.exec.spec.RunOptions`); by default
-    the grid inherits the harness's own options.
+    ``checkpoint`` — see :class:`~repro.exec.spec.RunOptions`); by
+    default the grid inherits the harness's own options.
     """
     harness = harness or Harness()
     names = list(benchmarks or micro_names())

@@ -4,14 +4,12 @@ sets and organise the results for the experiment drivers."""
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 import os
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.exec.spec import RunOptions, fold_legacy_kwargs
+from repro.exec.spec import RunOptions
 from repro.integrity.sanitizers import (
     IntegrityError,
     InvariantViolation,
@@ -45,10 +43,6 @@ SimulatorFactory = Callable[[], object]
 #: Backwards-compatible alias; the canonical list lives in
 #: :mod:`repro.result` so checkpoint merges share it.
 _VOLATILE_PROVENANCE_FIELDS = VOLATILE_PROVENANCE_FIELDS
-
-#: Distinguishes "not passed" from an explicit ``None`` (a ``None``
-#: watchdog/blockcache override is meaningful: disarmed / default).
-_UNSET = object()
 
 
 def _with_dram_backend(
@@ -251,37 +245,6 @@ class ResultGrid:
         return grid
 
 
-#: run_trace function -> its parameter-name set.  Keyed by the
-#: underlying function object (bound methods are recreated on every
-#: attribute access), so one inspect.signature pays for a whole grid.
-_SIGNATURE_CACHE: "weakref.WeakKeyDictionary[Callable, frozenset]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _signature_params(run_trace: Callable) -> frozenset:
-    """The parameter names a simulator's ``run_trace`` accepts (cached)."""
-    probe = getattr(run_trace, "__func__", run_trace)
-    try:
-        return _SIGNATURE_CACHE[probe]
-    except (KeyError, TypeError):
-        pass
-    try:
-        params = frozenset(inspect.signature(probe).parameters)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        params = frozenset()
-    try:
-        _SIGNATURE_CACHE[probe] = params
-    except TypeError:  # pragma: no cover - unweakrefable callable
-        pass
-    return params
-
-
-def _accepts_observer(run_trace: Callable) -> bool:
-    """Whether a simulator's ``run_trace`` takes the observer hook."""
-    return "observer" in _signature_params(run_trace)
-
-
 def quarantine_failure(
     violations: Sequence[InvariantViolation],
     *,
@@ -308,34 +271,26 @@ def quarantine_failure(
 class Harness:
     """Runs (simulator x workload) grids with cached traces.
 
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes the
-    harness record per-cell wall times and run counts; it is shared by
-    every grid this harness runs.  ``instrumentation`` passed to the
-    run methods additionally threads pipeline observers (CPI stacks,
-    tracing) through simulators that support them.
+    ``options`` (a :class:`~repro.exec.spec.RunOptions`) holds the
+    harness-level execution defaults; per-call options merge over them
+    (:meth:`RunOptions.merged_over`).  ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) makes the harness record
+    per-cell wall times and run counts; it is shared by every grid this
+    harness runs.  ``instrumentation`` passed to the run methods
+    additionally threads pipeline observers (CPI stacks, tracing)
+    through every simulator (those without a pipeline ignore them).
 
-    ``sanitizers`` (a :class:`repro.integrity.Sanitizers`, disabled by
+    ``sanitizers`` (a :class:`repro.integrity.Sanitizers`, otherwise
+    built from the options' ``sanitize``/``strict`` flags; disabled by
     default) arms the invariant checkers: every cell is audited, and
     in grid runs a violating result is *quarantined* — recorded as a
     ``kind="invariant"`` :class:`CellFailure` instead of entering the
-    grid (strict bundles raise :class:`IntegrityError` instead).
-    ``watchdog_s`` arms a per-cell livelock watchdog with that stall
-    budget (seconds) on simulators that accept one.  Failures from
-    every grid this harness runs accumulate on ``failed_cells``, which
-    is what the CLI's exit status reports.
+    grid (strict bundles raise :class:`IntegrityError` instead).  The
+    options' ``watchdog_s`` arms a per-cell livelock watchdog with
+    that stall budget (seconds).  Failures from every grid this
+    harness runs accumulate on ``failed_cells``, which is what the
+    CLI's exit status reports.
     """
-
-    #: Keywords the pre-RunOptions constructor accepted; still folded
-    #: in (with a DeprecationWarning) so old callers keep working.
-    _LEGACY_INIT = (
-        "watchdog_s", "checkpoint", "resume", "ledger", "live_progress",
-        "blockcache", "shards",
-    )
-    #: The historical ``run_grid`` keyword surface, now RunOptions.
-    _LEGACY_RUN_GRID = (
-        "jobs", "cache", "timeout", "retries", "checkpoint", "resume",
-        "ledger", "live_progress", "shards",
-    )
 
     def __init__(
         self,
@@ -344,34 +299,17 @@ class Harness:
         *,
         metrics: Optional[MetricsRegistry] = None,
         sanitizers: Optional[Sanitizers] = None,
-        **legacy,
     ):
         #: Harness-level execution defaults; per-call options merge
         #: over these (see :meth:`run_grid`).
-        self.options = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_INIT, owner="Harness()",
-        )
+        self.options = options if options is not None else RunOptions()
         self.workloads = workloads or WorkloadSet()
-        #: Trace-compilation control forwarded to simulators whose
-        #: ``run_trace`` accepts it: ``None`` leaves each simulator's
-        #: own default (enabled), ``False`` forces the pure detailed
-        #: loop (the CLI's ``--no-blockcache``), ``True`` or a
-        #: :class:`repro.core.blockcache.BlockCacheConfig` forces it on.
-        self.blockcache = self.options.blockcache
         self.metrics = metrics if metrics is not None else (
             MetricsRegistry.disabled()
         )
         self.sanitizers = sanitizers if sanitizers is not None else (
             self.options.sanitizer_bundle() or Sanitizers.disabled()
         )
-        self.watchdog_s = self.options.watchdog_s
-        #: Views over :attr:`options`, kept for callers that still read
-        #: the old attributes.
-        self.checkpoint = self.options.checkpoint
-        self.resume = self.options.resume
-        self.ledger = self.options.ledger
-        self.live_progress = self.options.live_progress
-        self.shards = max(1, int(self.options.shards))
         #: Violations found by the most recent cell (empty when the
         #: sanitizers are disabled or the cell was clean).
         self.last_violations: List[InvariantViolation] = []
@@ -385,71 +323,53 @@ class Harness:
         trace,
         workload: str,
         instrumentation: Optional[Instrumentation],
-        *,
-        sanitizers: Optional[Sanitizers] = None,
-        watchdog_s=_UNSET,
-        blockcache=_UNSET,
+        options: RunOptions,
     ) -> SimResult:
         """Time one (simulator, workload) cell, instrumented.
 
-        The keyword overrides let a caller carry per-call
-        :class:`RunOptions` without mutating harness state (the job
-        service runs grids from worker threads); unset, the harness's
-        own settings apply.
+        ``options`` is the call's merged, trimmed :class:`RunOptions`
+        (sanitize/strict, watchdog_s, blockcache), so a caller carries
+        per-call settings without mutating harness state (the job
+        service runs grids from worker threads).  Every simulator takes
+        the ``observer``/``watchdog``/``blockcache`` keywords of the
+        :class:`~repro.result.Simulator` protocol.
         """
-        sanitizer_bundle = (
-            sanitizers if sanitizers is not None else self.sanitizers
-        )
-        watchdog_budget = (
-            self.watchdog_s if watchdog_s is _UNSET else watchdog_s
-        )
-        blockcache_mode = (
-            self.blockcache if blockcache is _UNSET else blockcache
-        )
+        name = simulator.name
         observer = None
-        run_trace = simulator.run_trace
-        params = _signature_params(run_trace)
-        if instrumentation is not None and instrumentation.enabled \
-                and "observer" in params:
+        if instrumentation is not None:
             observer = instrumentation.observer(
-                simulator=simulator.name, workload=workload
+                simulator=name, workload=workload
             )
-        sanitizer = None
-        if sanitizer_bundle.enabled:
-            sanitizer = sanitizer_bundle.run_sanitizer(
-                simulator=simulator.name, workload=workload
-            )
-            if "observer" in params:
-                # Ride the engine's observer hook (sharing the
-                # instrumentation observer when there is one).
-                if observer is None:
-                    observer = RunObserver(
-                        sanitizer=sanitizer,
-                        simulator=simulator.name, workload=workload,
-                    )
-                else:
-                    observer.sanitizer = sanitizer
-        kwargs = {}
-        if observer is not None:
-            kwargs["observer"] = observer
-        if watchdog_budget is not None and "watchdog" in params:
-            kwargs["watchdog"] = Watchdog(watchdog_budget)
-        if blockcache_mode is not None and "blockcache" in params:
-            kwargs["blockcache"] = blockcache_mode
-        timer = self.metrics.timer(f"harness.cell.{simulator.name}.{workload}")
+        sanitizer = self._effective_sanitizers(options).run_sanitizer(
+            simulator=name, workload=workload
+        )
+        if sanitizer is not None:
+            # Ride the engine's observer hook (sharing the
+            # instrumentation observer when there is one).
+            if observer is None:
+                observer = RunObserver(
+                    sanitizer=sanitizer, simulator=name, workload=workload,
+                )
+            else:
+                observer.sanitizer = sanitizer
+        watchdog = (
+            Watchdog(options.watchdog_s)
+            if options.watchdog_s is not None else None
+        )
+        timer = self.metrics.timer(f"harness.cell.{name}.{workload}")
         probe = TelemetryProbe()
         with timer.time():
-            result = run_trace(trace, workload, **kwargs)
+            result = simulator.run_trace(
+                trace, workload, observer=observer, watchdog=watchdog,
+                blockcache=options.blockcache,
+            )
         if result.telemetry is None:
             result.telemetry = probe.finish(result.instructions)
-        mirror_to_metrics(
-            self.metrics, simulator.name, workload, result.telemetry
-        )
+        mirror_to_metrics(self.metrics, name, workload, result.telemetry)
         self.metrics.counter("harness.runs").inc()
         if result.provenance is None:
             result.provenance = capture_provenance(
-                getattr(simulator, "config", None),
-                name=getattr(simulator, "name", ""),
+                getattr(simulator, "config", None), name=name,
             )
         if sanitizer is not None:
             sanitizer.audit_result(
@@ -459,7 +379,6 @@ class Harness:
         else:
             self.last_violations = []
         return result
-
 
     def _effective_sanitizers(self, options: RunOptions) -> Sanitizers:
         """The sanitizer bundle one run should use: an explicitly
@@ -484,19 +403,11 @@ class Harness:
         only, merged over the harness-level defaults.
         """
         trace = self.workloads.trace(workload)
-        if options is None:
-            return self._run_cell(
-                factory(), trace, workload, instrumentation
-            )
-        opts = options.merged_over(self.options).trimmed()
+        opts = (options or RunOptions()).merged_over(self.options).trimmed()
         if opts.dram_backend is not None:
             factory = _with_dram_backend(factory, opts.dram_backend)
-        simulator = factory()
         return self._run_cell(
-            simulator, trace, workload, instrumentation,
-            sanitizers=self._effective_sanitizers(opts),
-            watchdog_s=opts.watchdog_s,
-            blockcache=opts.blockcache,
+            factory(), trace, workload, instrumentation, opts
         )
 
     def run_grid(
@@ -507,19 +418,15 @@ class Harness:
         *,
         progress: Optional[Callable[[str, str], None]] = None,
         instrumentation: Optional[Instrumentation] = None,
-        **legacy,
     ) -> ResultGrid:
         """Run every factory over every workload.
 
         ``options`` (a :class:`repro.exec.spec.RunOptions`) carries
         every execution knob — jobs, cache, timeout, retries,
-        checkpoint/resume, ledger, live_progress, shards, sanitize,
+        checkpoint/resume, ledger, live_progress, sanitize,
         watchdog_s, blockcache, dram_backend — merged over the
         harness-level options
         (a field left at its default inherits the harness's value).
-        The historical keyword arguments (``jobs=``, ``cache=``, ...)
-        still work through a deprecation shim that folds them into the
-        options object and warns once per call.
 
         ``progress(simulator, workload)`` is called before each cell;
         with a metrics registry attached, each cell's wall time is also
@@ -527,14 +434,12 @@ class Harness:
 
         Execution backend, chosen from the merged options:
 
-        * ``shards > 1`` routes the grid through the crash-safe
-          work-stealing :class:`~repro.exec.coordinator.
-          ShardCoordinator` (runner loss recovered from fsynced shard
-          journals; results byte-identical to the serial path);
         * ``jobs > 1``, a ``cache``, or a ``checkpoint`` delegates to
-          the execution engine (:mod:`repro.exec.engine`), which also
-          honours the per-cell ``timeout`` and ``retries`` budget and
-          records failed cells as :class:`CellFailure` entries;
+          the execution engine (:mod:`repro.exec.engine`), whose
+          fork-per-cell pool also honours the per-cell ``timeout`` and
+          ``retries`` budget and records failed cells as
+          :class:`CellFailure` entries (results byte-identical to the
+          serial path);
         * otherwise the in-process serial path runs, where a failing
           cell raises — except for integrity quarantines and detected
           livelocks, which are isolated per cell in every mode.
@@ -546,31 +451,15 @@ class Harness:
         in every execution mode.
         """
         names = list(workload_names)
-        opts = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_RUN_GRID,
-            owner="Harness.run_grid()",
-        ).merged_over(self.options)
+        opts = (options or RunOptions()).merged_over(self.options)
         if opts.dram_backend is not None:
-            # Wrapping here covers every execution backend below (the
-            # shard coordinator and engine fork, so closures survive).
+            # Wrapping here covers both execution backends below (the
+            # engine forks, so closures survive).
             factories = [
                 _with_dram_backend(factory, opts.dram_backend)
                 for factory in factories
             ]
         sanitizers = self._effective_sanitizers(opts)
-        if opts.shards > 1:
-            from repro.exec.coordinator import ShardCoordinator
-
-            coordinator = ShardCoordinator(
-                self.workloads, opts,
-                metrics=self.metrics, sanitizers=sanitizers,
-            )
-            grid = coordinator.run_grid(
-                factories, names,
-                instrumentation=instrumentation, progress=progress,
-            )
-            self.failed_cells.extend(grid.failures)
-            return grid
         if (opts.jobs > 1 or opts.cache is not None
                 or opts.checkpoint is not None):
             from repro.exec.engine import ExperimentEngine
@@ -604,6 +493,7 @@ class Harness:
             if progress_line is not None:
                 progress_line.update()
 
+        cell_options = opts.trimmed()
         grid = ResultGrid()
         try:
             for name in names:
@@ -615,9 +505,7 @@ class Harness:
                     try:
                         result = self._run_cell(
                             simulator, trace, name, instrumentation,
-                            sanitizers=sanitizers,
-                            watchdog_s=opts.watchdog_s,
-                            blockcache=opts.blockcache,
+                            cell_options,
                         )
                     except IntegrityError as exc:
                         # Fatal violation mid-run: quarantine the cell

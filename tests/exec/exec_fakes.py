@@ -40,7 +40,8 @@ class FakeSim:
     def name(self) -> str:
         return self.config.name
 
-    def run_trace(self, trace, workload: str) -> SimResult:
+    def run_trace(self, trace, workload: str, *, observer=None,
+                  watchdog=None, blockcache=None) -> SimResult:
         flavor = self.config.flavor
         if workload == self.FAIL_WORKLOAD:
             if flavor == "raise":

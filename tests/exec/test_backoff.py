@@ -48,8 +48,8 @@ class TestRetryBackoff:
 
     def test_max_delay_ceiling_bounds_pathological_cap(self):
         """Regression: a misconfigured cap_s must not schedule sleeps
-        past the explicit max_delay_s ceiling — a re-leased shard
-        chaining such delays would outlive its lease."""
+        past the explicit max_delay_s ceiling — a grid would stall for
+        minutes between two attempts of one cell."""
         backoff = RetryBackoff(base_s=10.0, cap_s=3600.0, jitter=0.0)
         delays = [backoff.delay("k", attempt) for attempt in range(1, 12)]
         assert max(delays) <= RetryBackoff.MAX_DELAY_S

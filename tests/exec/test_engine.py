@@ -115,7 +115,7 @@ class TestFaultIsolation:
         import time as time_module
 
         class DeafSim(FakeSim):
-            def run_trace(self, trace, workload):
+            def run_trace(self, trace, workload, **_):
                 if workload == self.FAIL_WORKLOAD:
                     signal_module.pthread_sigmask(
                         signal_module.SIG_BLOCK,
@@ -179,7 +179,7 @@ class TestRetries:
         marker = tmp_path / "first-attempt"
 
         class FlakyOnce(FakeSim):
-            def run_trace(self, trace, workload):
+            def run_trace(self, trace, workload, **_):
                 if not marker.exists():
                     marker.write_text("started")
                     os._exit(3)
@@ -203,7 +203,7 @@ class TestRetries:
         calls = []
 
         class FlakyInProcess(FakeSim):
-            def run_trace(self, trace, workload):
+            def run_trace(self, trace, workload, **_):
                 if not calls:
                     calls.append(workload)
                     raise RuntimeError("transient")

@@ -3,7 +3,7 @@ machine, and every shortcut it takes stays checkable.
 
 Cells are keyed on the workload's program digest, so hits are resolved
 before any trace exists.  These tests pin the consequences: warm grids
-build no trace and hash none (in-process, pooled and sharded) yet
+build no trace and hash none (in-process and pooled) yet
 serialise byte-identically to the cold grid; partially warm grids
 build only what they run; every stored entry carries the fingerprint of
 the trace that produced it, which ``cache-check`` re-derives.
@@ -60,8 +60,7 @@ class TestWarmGridSkipsTheEmulator:
     @pytest.mark.parametrize("options", [
         RunOptions(),
         pytest.param(RunOptions(jobs=2), marks=pytest.mark.exec_pool),
-        RunOptions(shards=2),
-    ], ids=["serial", "pool", "shards"])
+    ], ids=["serial", "pool"])
     def test_warm_grid_builds_no_trace_and_matches_cold(
         self, tmp_path, counted, options
     ):
@@ -69,7 +68,7 @@ class TestWarmGridSkipsTheEmulator:
         # One trace and one fingerprint per workload, in the parent.
         assert counted == {
             "run_program": len(WORKLOADS),
-            "fingerprint_trace": 0 if options.shards > 1 else len(WORKLOADS),
+            "fingerprint_trace": len(WORKLOADS),
         }
         counted.update(run_program=0, fingerprint_trace=0)
         warm = run(tmp_path, options)
@@ -196,7 +195,7 @@ class LyingSim:
 
     name = "sim-lying"
 
-    def run_trace(self, trace, workload):
+    def run_trace(self, trace, workload, **_):
         return SimResult(self.name, workload, cycles=1.0,
                          instructions=len(trace))
 

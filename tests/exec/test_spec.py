@@ -13,12 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.spec import (
-    ExperimentSpec,
-    RunOptions,
-    SpecError,
-    fold_legacy_kwargs,
-)
+from repro.exec.spec import ExperimentSpec, RunOptions, SpecError
 
 # -- strategies ------------------------------------------------------------
 
@@ -39,7 +34,6 @@ _run_options = st.builds(
     resume=st.booleans(),
     ledger=st.none() | _names,
     live_progress=st.booleans(),
-    shards=st.integers(min_value=1, max_value=4),
     sanitize=st.booleans(),
     strict=st.booleans(),
     watchdog_s=st.none() | st.floats(min_value=0.5, max_value=60.0,
@@ -147,6 +141,9 @@ def test_unknown_spec_key_rejected():
 def test_unknown_options_key_rejected():
     with pytest.raises(SpecError, match="unknown RunOptions key"):
         RunOptions.from_dict({"jobs": 2, "n_workers": 4})
+    # ``shards`` is not an option: ``jobs`` on the pool is the only fleet.
+    with pytest.raises(SpecError, match="unknown RunOptions key"):
+        RunOptions.from_dict({"shards": 2})
 
 
 def test_empty_grid_rejected():
@@ -183,40 +180,10 @@ def test_merged_over_explicit_fields_win():
 
 
 def test_trimmed_keeps_only_single_cell_options():
-    options = RunOptions(jobs=8, shards=3, cache="x", sanitize=True,
+    options = RunOptions(jobs=8, retries=3, cache="x", sanitize=True,
                          strict=True, watchdog_s=5.0)
     single = options.trimmed()
     assert single.sanitize and single.strict
     assert single.watchdog_s == 5.0
-    assert single.jobs == 1 and single.shards == 1
+    assert single.jobs == 1 and single.retries == 0
     assert single.cache is None
-
-
-# -- the legacy shim -------------------------------------------------------
-
-def test_fold_legacy_kwargs_warns_once_and_applies():
-    with pytest.warns(DeprecationWarning, match="jobs") as caught:
-        folded = fold_legacy_kwargs(
-            RunOptions(retries=1), {"jobs": 4, "refresh": True},
-            allowed=("jobs", "refresh"), owner="run_grid",
-        )
-    assert len(caught) == 1
-    assert folded.jobs == 4 and folded.refresh and folded.retries == 1
-
-
-def test_fold_legacy_kwargs_unknown_keyword_is_type_error():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        fold_legacy_kwargs(
-            None, {"n_jobs": 4}, allowed=("jobs",), owner="run_grid",
-        )
-
-
-def test_fold_legacy_kwargs_no_legacy_is_silent():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        folded = fold_legacy_kwargs(
-            None, {}, allowed=("jobs",), owner="run_grid",
-        )
-    assert folded == RunOptions()

@@ -264,9 +264,10 @@ class TestResume:
         assert len(GridCheckpoint(path).load()) == 1
 
 
-class TestShardJournalMerge:
-    """merge_from: shard journals combine by digest — identical
-    payloads dedup, conflicting payloads must raise."""
+class TestJournalMerge:
+    """Two writers over one journal combine by digest on load and on
+    flush (merge-on-flush) — identical payloads dedup, conflicting
+    payloads must raise."""
 
     def _journal(self, path, entries):
         checkpoint = GridCheckpoint(path)
@@ -275,27 +276,29 @@ class TestShardJournalMerge:
         checkpoint.flush()
         return checkpoint
 
+    def _pending(self, path, entries):
+        """A second writer whose records are still in memory."""
+        checkpoint = GridCheckpoint(path, every=10)  # defer the flush
+        for digest, result in entries:
+            checkpoint.record(digest, result)
+        return checkpoint
+
     def test_merge_disjoint_journals_unions_entries(self, tmp_path):
-        main = self._journal(
-            tmp_path / "a.ckpt", [("d1", make_result(workload="C-R"))]
-        )
-        self._journal(
-            tmp_path / "b.ckpt", [("d2", make_result(workload="E-I"))]
-        )
-        added = main.merge_from(tmp_path / "b.ckpt")
-        assert added == 1
-        main.flush()
-        assert set(GridCheckpoint(tmp_path / "a.ckpt").load()) == \
-            {"d1", "d2"}
+        path = tmp_path / "grid.ckpt"
+        mine = self._pending(path, [("d1", make_result(workload="C-R"))])
+        self._journal(path, [("d2", make_result(workload="E-I"))])
+        mine.flush()
+        assert set(GridCheckpoint(path).load()) == {"d1", "d2"}
 
     def test_same_digest_identical_payload_dedups(self, tmp_path):
-        """Two shards that both computed a cell (a stolen lease whose
-        first owner survived) merge without complaint or duplication."""
-        result = make_result()
-        main = self._journal(tmp_path / "a.ckpt", [("d1", result)])
-        self._journal(tmp_path / "b.ckpt", [("d1", make_result())])
-        assert main.merge_from(tmp_path / "b.ckpt") == 0
-        assert len(main) == 1
+        """Two runs that both computed a cell merge without complaint
+        or duplication."""
+        path = tmp_path / "grid.ckpt"
+        self._journal(path, [("d1", make_result())])
+        mine = self._pending(path, [("d1", make_result())])
+        assert set(mine.load()) == {"d1"}
+        mine.flush()
+        assert len(GridCheckpoint(path).load()) == 1
 
     def test_same_digest_volatile_fields_still_dedup(self, tmp_path):
         """Honest recomputes differ in volatile provenance (created,
@@ -316,26 +319,28 @@ class TestShardJournalMerge:
             host="host-b",
         )
         second.telemetry = CellTelemetry(wall_s=9.0)
-        main = self._journal(tmp_path / "a.ckpt", [("d1", first)])
-        self._journal(tmp_path / "b.ckpt", [("d1", second)])
-        assert main.merge_from(tmp_path / "b.ckpt") == 0
-        assert len(main) == 1
+        path = tmp_path / "grid.ckpt"
+        self._journal(path, [("d1", first)])
+        mine = self._pending(path, [("d1", second)])
+        mine.flush()
+        assert len(mine) == 1
+        assert len(GridCheckpoint(path).load()) == 1
 
     def test_same_digest_conflicting_payload_raises(self, tmp_path):
         """A digest collision with different measurements is corruption
-        or broken determinism: the merge must raise, never
+        or broken determinism: merge-on-flush must raise, never
         last-write-win."""
         from repro.integrity.checkpoint import CheckpointConflict
 
-        main = self._journal(tmp_path / "a.ckpt", [("d1", make_result())])
-        conflicting = SimResult(
+        path = tmp_path / "grid.ckpt"
+        self._journal(path, [("d1", make_result())])
+        mine = self._pending(path, [("d1", SimResult(
             "sim-alpha", "C-R", cycles=999.0, instructions=50
-        )
-        self._journal(tmp_path / "b.ckpt", [("d1", conflicting)])
+        ))])
         with pytest.raises(CheckpointConflict):
-            main.merge_from(tmp_path / "b.ckpt")
-        # And the surviving entry is the original, untouched.
-        assert main.load()["d1"].cycles == 100.0
+            mine.flush()
+        # And the entry on disk is the original, untouched.
+        assert GridCheckpoint(path).load()["d1"].cycles == 100.0
 
     def test_load_detects_on_disk_conflict(self, tmp_path):
         """The same refusal applies when the conflict is between
@@ -355,9 +360,9 @@ class TestShardJournalMerge:
 class TestDurability:
     def test_record_fsyncs_before_returning(self, tmp_path, monkeypatch):
         """A recorded cell must be durable (file fsync + rename +
-        directory fsync) before record() returns — the shard runner
-        acknowledges the cell to the coordinator immediately after,
-        and an acknowledged cell must survive power loss."""
+        directory fsync) before record() returns — a resumed grid
+        skips every journaled cell, so a journaled cell must survive
+        a killed parent or a power loss."""
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(

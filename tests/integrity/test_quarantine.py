@@ -23,7 +23,7 @@ class LyingSim:
 
     name = "sim-lying"
 
-    def run_trace(self, trace, workload):
+    def run_trace(self, trace, workload, **_):
         return SimResult(
             self.name, workload,
             cycles=max(1.0, len(trace) / 100.0),
@@ -34,7 +34,7 @@ class LyingSim:
 class HonestSim:
     name = "sim-honest"
 
-    def run_trace(self, trace, workload):
+    def run_trace(self, trace, workload, **_):
         return SimResult(
             self.name, workload,
             cycles=len(trace) * 2.0,

@@ -327,13 +327,29 @@ class TestSanitizersBundle:
         second = bundle.run_sanitizer(simulator="b", workload="y")
         assert first is not second
         assert first.strict and first.window == 64
-        assert bundle.runs == [first, second]
 
-    def test_take_violations_drains(self):
-        bundle = Sanitizers()
-        sanitizer = bundle.run_sanitizer()
-        sanitizer.on_commit(0.0, 0.0, 0.0, 10.0, 10.0)
-        sanitizer.on_commit(0.0, 0.0, 0.0, 1.0, 1.0)
-        violations = bundle.take_violations()
-        assert [v.invariant for v in violations] == ["cycle_monotonicity"]
-        assert bundle.take_violations() == []
+    def test_sanitized_runs_leave_no_hierarchy_alive(self):
+        """The bundle keeps no per-run sanitizer, so no run's attached
+        MemoryHierarchy outlives the run: a long-lived harness (or the
+        job service) must not grow by one hierarchy per sanitized
+        cell."""
+        import gc
+
+        from repro import SimAlpha
+        from repro.memory.hierarchy import MemoryHierarchy
+        from repro.validation.harness import Harness
+
+        def live_hierarchies():
+            gc.collect()
+            return sum(
+                isinstance(obj, MemoryHierarchy)
+                for obj in gc.get_objects()
+            )
+
+        harness = Harness(sanitizers=Sanitizers())
+        harness.run_one(SimAlpha, "C-R")  # warm the trace cache
+        before = live_hierarchies()
+        for workload in ("C-R", "E-I", "C-R"):
+            harness.run_one(SimAlpha, workload)
+            assert harness.last_violations == []
+        assert live_hierarchies() == before

@@ -240,12 +240,12 @@ def test_graceful_shutdown_checkpoints_and_resumes(
         def name(self):
             return self.inner.name
 
-        def run_trace(self, trace, workload):
+        def run_trace(self, trace, workload, **hooks):
             if len(computed) >= 1:
                 entered.set()
                 assert gate.wait(timeout=30)
             computed.append(workload)
-            return self.inner.run_trace(trace, workload)
+            return self.inner.run_trace(trace, workload, **hooks)
 
     base = fake_factory("svc-gated", cpi=2.0)
     register_simulator("svc-gated", lambda: GatedSim(base()))

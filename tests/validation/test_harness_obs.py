@@ -73,39 +73,6 @@ class TestResultGridAdd:
         assert "sim-outorder" in message and "sim-alpha" in message
 
 
-class TestObserverSignatureCache:
-    def test_one_inspection_per_simulator_class(self, monkeypatch):
-        """A grid of N cells over one simulator class must cost one
-        ``inspect.signature`` call, not N — bound methods are recreated
-        on every attribute access, so the cache keys on ``__func__``."""
-        import inspect
-
-        import repro.validation.harness as harness_mod
-
-        class PlainSim:
-            name = "plain"
-
-            def run_trace(self, trace, workload):
-                return make_result(self.name, workload)
-
-        harness_mod._SIGNATURE_CACHE.clear()
-        inspected = []
-        real_signature = inspect.signature
-
-        def counting_signature(obj, *args, **kwargs):
-            inspected.append(obj)
-            return real_signature(obj, *args, **kwargs)
-
-        monkeypatch.setattr(inspect, "signature", counting_signature)
-        harness = Harness()
-        harness.run_grid(
-            [PlainSim], ["C-R", "E-I", "M-D"],
-            instrumentation=Instrumentation(),
-        )
-        assert len(inspected) == 1
-        assert inspected[0] is PlainSim.run_trace
-
-
 class TestCanonicalJson:
     def test_canonical_blanks_only_volatile_provenance(self):
         harness = Harness()

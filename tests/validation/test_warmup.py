@@ -23,7 +23,8 @@ class FakeWindowSim:
         self.instructions = instructions
         self.cycles = cycles
 
-    def run_trace(self, trace, workload, window_size=4096):
+    def run_trace(self, trace, workload, window_size=4096, *,
+                  observer=None, watchdog=None, blockcache=None):
         stats = RunStats()
         stats.extra["window_retire_times"] = list(self.marks)
         return SimResult(
