@@ -1,8 +1,9 @@
 """The experiment execution engine: parallel, cached, fault-isolated.
 
 The paper's evaluation is one large (simulator x workload) grid
-re-visited by every table; the serial harness pays full price for
-every cell on every run.  This engine executes the same cells
+re-visited by every table.  Every grid runs here —
+:meth:`Harness.run_grid <repro.validation.harness.Harness.run_grid>`
+is a thin entry point — and its cells run
 
 * **memoized** — each cell is content-addressed by its
   :class:`~repro.exec.cache.CacheKey` (configuration hash, workload
@@ -21,14 +22,17 @@ every cell on every run.  This engine executes the same cells
   recorded as a :class:`~repro.validation.harness.CellFailure` on the
   returned grid; every other cell still completes.
 
-Results are inserted into the :class:`ResultGrid` in the exact order
-the serial harness would produce, so a parallel run serialises
-identically to a serial one.
+``jobs=1`` times cells in this process instead of forking, but every
+attempt in either mode goes through :func:`_attempt_cell` and settles
+through :meth:`ExperimentEngine._settle`, and results are inserted
+into the :class:`ResultGrid` in serial grid order, so a ``jobs=N``
+grid serialises identically to a ``jobs=1`` one, failures included.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 import signal
@@ -201,11 +205,9 @@ def grid_cells(
 
     Probes each factory once for its identity and content-addresses
     each cell when ``keyed``, from the workload's cached program digest
-    — no trace is built here (see :func:`build_traces`).  Shared by
-    :meth:`ExperimentEngine.run_grid` and ``refresh_cell``: both derive
-    their cells — and therefore their cache-key digests — from this
-    one function, so a journal entry and a cache entry refer to the
-    same cell everywhere.
+    — no trace is built here (see :func:`build_traces`).  The result
+    cache and the checkpoint journal both key on these cells, so a
+    journal entry and a cache entry refer to the same cell.
     """
     probes = [_simulator_identity(factory) for factory in factories]
     cells: List[_Cell] = []
@@ -220,26 +222,51 @@ def grid_cells(
     return cells
 
 
-def _worker_main(conn, factory, workload, workload_set, instrumentation,
-                 sanitizers=None, options=None):
-    """Body of one forked worker: time one cell, ship the result back.
+def _attempt_cell(harness: Harness, factory: SimulatorFactory,
+                  workload: str, instrumentation) -> Tuple:
+    """Time one attempt of one cell through ``harness`` and return the
+    message :meth:`ExperimentEngine._settle` reads — the same tuple
+    whether the attempt ran in-process or in a forked worker (which
+    ships it over its pipe).  First element:
 
-    Runs through the same :class:`Harness` cell path as serial
-    execution (observer wiring, sanitizer audit, provenance capture),
-    so results are indistinguishable from serially produced ones.
-
-    Wire protocol (first tuple element):
-
-    * ``"ok"`` — clean result follows;
-    * ``"quarantined"`` — the sanitizers flagged the run; a list of
+    * ``"ok"`` — the result follows;
+    * ``"invariant"`` — the sanitizers flagged the run; a list of
       violation dicts follows and the result is withheld;
-    * ``"strict"`` — a violation under a strict bundle; the parent
-      re-raises :class:`IntegrityError` and aborts the grid;
-    * ``"stuck"`` — the watchdog diagnosed a livelock inside the
-      worker (or the parent escalated a wall-clock timeout over
-      SIGUSR1); message + state snapshot follow;
-    * ``"error"`` — any other exception; formatted traceback follows.
+    * ``"stuck"`` — the watchdog diagnosed a livelock (or the parent
+      escalated a wall-clock timeout over SIGUSR1); message + state
+      snapshot follow;
+    * ``"exception"`` — any other exception; its formatted traceback
+      follows, caught in this frame in both modes so the text agrees.
+
+    A strict bundle's :class:`IntegrityError` propagates.
     """
+    try:
+        result = harness.run_one(
+            factory, workload, instrumentation=instrumentation
+        )
+    except IntegrityError as exc:
+        if harness.sanitizers.strict:
+            raise
+        return ("invariant", [exc.violation.to_dict()])
+    except SimulationStuck as exc:
+        return ("stuck", str(exc), {
+            "detail": exc.detail,
+            "instructions": exc.instructions, "retire": exc.retire,
+            "state": exc.state,
+        })
+    except Exception:
+        return ("exception", traceback.format_exc(limit=20))
+    if harness.last_violations:
+        return ("invariant", [v.to_dict() for v in harness.last_violations])
+    return ("ok", result)
+
+
+def _worker_main(conn, factory, workload, workload_set, instrumentation,
+                 sanitizers, options):
+    """Body of one forked worker: time one cell, ship its
+    :func:`_attempt_cell` message back.  A strict violation is sent as
+    ``("strict", violation dict)``; the parent re-raises
+    :class:`IntegrityError` and aborts the grid."""
     # A Ctrl-C in the parent delivers SIGINT to the whole foreground
     # process group.  The parent owns shutdown (it terminates and joins
     # the pool); workers ignoring SIGINT turn that into one clean
@@ -249,34 +276,18 @@ def _worker_main(conn, factory, workload, workload_set, instrumentation,
     install_escalation_handler()
     try:
         harness = Harness(
-            workload_set, (options or RunOptions()).trimmed(),
-            sanitizers=sanitizers,
+            workload_set, options.trimmed(), sanitizers=sanitizers
         )
         try:
-            result = harness.run_one(
-                factory, workload, instrumentation=instrumentation
+            message = _attempt_cell(
+                harness, factory, workload, instrumentation
             )
         except IntegrityError as exc:
-            if sanitizers is not None and sanitizers.strict:
-                conn.send(("strict", exc.violation.to_dict()))
-            else:
-                conn.send(("quarantined", [exc.violation.to_dict()]))
-        except SimulationStuck as exc:
-            conn.send(("stuck", str(exc), {
-                "detail": exc.detail,
-                "instructions": exc.instructions, "retire": exc.retire,
-                "state": exc.state,
-            }))
-        else:
-            if harness.last_violations:
-                conn.send(("quarantined", [
-                    v.to_dict() for v in harness.last_violations
-                ]))
-            else:
-                conn.send(("ok", result))
+            message = ("strict", exc.violation.to_dict())
+        conn.send(message)
     except BaseException:
         try:
-            conn.send(("error", traceback.format_exc(limit=20)))
+            conn.send(("exception", traceback.format_exc(limit=20)))
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -346,7 +357,6 @@ class ExperimentEngine:
         self.sanitizers = sanitizers if sanitizers is not None else (
             opts.sanitizer_bundle() or Sanitizers.disabled()
         )
-        self.watchdog_s = opts.watchdog_s
         checkpoint = opts.checkpoint
         if isinstance(checkpoint, (str, os.PathLike)):
             checkpoint = GridCheckpoint(checkpoint)
@@ -399,24 +409,21 @@ class ExperimentEngine:
         *,
         instrumentation: Optional[Instrumentation] = None,
         progress: Optional[Callable[[str, str], None]] = None,
-        ledger=None,
-        live_progress: bool = False,
     ) -> ResultGrid:
         """Run every factory over every workload; see the module doc.
 
         The returned grid holds a result for every cell that completed
-        and a :class:`CellFailure` for every cell that exhausted its
-        attempts, in serial iteration order.
+        and a :class:`CellFailure` for every cell that did not, in
+        serial iteration order.  ``progress(simulator, workload)`` is
+        called before each attempt of each cell.
 
-        ``ledger`` (a :class:`~repro.obs.telemetry.RunLedger` or a
-        JSONL path) appends one telemetry record per settled cell;
-        ``live_progress=True`` renders a live
-        ``cells done/total, cells/s, ETA`` line on stderr.  Both
-        default from the engine's :class:`RunOptions`.
+        The options' ``ledger`` (a
+        :class:`~repro.obs.telemetry.RunLedger` or a JSONL path)
+        appends one telemetry record per settled cell;
+        ``live_progress`` renders a live ``cells done/total, cells/s,
+        ETA`` line on stderr.
         """
-        if ledger is None:
-            ledger = self.options.ledger
-        live_progress = live_progress or self.options.live_progress
+        ledger = self.options.ledger
         names = list(workload_names)
         self.metrics.gauge("exec.jobs").set(self.jobs)
 
@@ -434,7 +441,8 @@ class ExperimentEngine:
             ledger = RunLedger(ledger)
         self._ledger = ledger
         self._progress_line = (
-            GridProgress(len(cells)) if live_progress else None
+            GridProgress(len(cells)) if self.options.live_progress
+            else None
         )
 
         # Resolve checkpointed cells (resuming) and cache hits (or,
@@ -506,33 +514,6 @@ class ExperimentEngine:
         )
         return grid
 
-    def refresh_cell(
-        self,
-        grid: ResultGrid,
-        factory: SimulatorFactory,
-        workload: str,
-        *,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> SimResult:
-        """Recompute one cell, overwrite its cache entry, and replace
-        it in ``grid`` (the ``ResultGrid.add(..., replace=True)``
-        escape hatch)."""
-        harness = Harness(
-            self.workloads, RunOptions(blockcache=self.blockcache),
-            metrics=self.metrics,
-        )
-        result = harness.run_one(
-            factory, workload, instrumentation=instrumentation
-        )
-        if self.cache is not None:
-            (cell,) = grid_cells(
-                self.workloads, [factory], [workload],
-                blockcache=self.blockcache,
-            )
-            self._put(cell.key, workload, result)
-        grid.add(result, replace=True)
-        return grid.get(result.simulator, result.workload)
-
     # -- execution backends ------------------------------------------------
 
     def _note_cell(self, simulator: str, workload: str, status: str,
@@ -550,151 +531,94 @@ class ExperimentEngine:
         if self._progress_line is not None:
             self._progress_line.update()
 
-    def _record_success(self, cell: _Cell, result: SimResult,
-                        elapsed: float, attempts: int = 1) -> None:
-        self.metrics.timer(
-            f"exec.cell.{cell.sim_name}.{cell.workload}"
-        ).observe(elapsed)
-        self.metrics.counter("exec.cells.completed").inc()
-        if self.cache is not None:
-            self._put(cell.key, cell.workload, result)
-        if self.checkpoint is not None:
-            self.checkpoint.record(cell.key.digest(), result)
-        self._note_cell(
-            cell.sim_name, cell.workload, "ok",
-            attempts=attempts, telemetry=result.telemetry,
-        )
+    def _settle(self, cell: _Cell, message: Tuple, attempt: int,
+                elapsed: float, results: Dict[int, SimResult],
+                failures: Dict[int, CellFailure]) -> bool:
+        """Settle one attempt of ``cell`` from its message (see
+        :func:`_attempt_cell`; the pool adds ``"strict"``, ``"crash"``
+        and ``"timeout"``) — the one settle path of both backends.
 
-    def _quarantine(self, cell: _Cell,
-                    violations: List[InvariantViolation],
-                    failures: Dict[int, CellFailure],
-                    attempts: int, elapsed: float) -> None:
-        """Record a sanitizer-flagged cell; quarantines are
-        deterministic model defects, so they are never retried and
-        never cached."""
-        failures[cell.index] = quarantine_failure(
-            violations,
-            simulator=cell.sim_name, workload=cell.workload,
-            attempts=attempts, elapsed_s=elapsed,
-        )
-        self.metrics.counter("exec.cells.quarantined").inc()
-        self._note_cell(
-            cell.sim_name, cell.workload, "invariant", attempts=attempts
-        )
-
-    def _stuck_failure(self, cell: _Cell, message: str,
-                       snapshot: Optional[Dict],
-                       failures: Dict[int, CellFailure],
-                       attempts: int, elapsed: float) -> None:
-        """Record a diagnosed livelock; deterministic, so no retry."""
-        failures[cell.index] = CellFailure(
-            simulator=cell.sim_name,
-            workload=cell.workload,
-            kind="stuck",
-            message=message,
-            attempts=attempts,
-            elapsed_s=elapsed,
-            snapshot=snapshot,
-        )
-        self.metrics.counter("exec.cells.failed").inc()
-        self._note_cell(
-            cell.sim_name, cell.workload, "stuck", attempts=attempts
-        )
-
-    def _cell_harness(self) -> Harness:
-        """A fresh in-process harness wired with this engine's
-        sanitizer/watchdog/blockcache settings."""
-        return Harness(
-            self.workloads, self.options.trimmed(),
-            metrics=self.metrics, sanitizers=self.sanitizers,
-        )
-
-    def _execute_cell(self, harness, cell, instrumentation,
-                      failures, progress=None) -> Optional[SimResult]:
-        """Run one cell in-process through its full retry budget.
-
-        Returns the result on success (recorded into cache/checkpoint/
-        ledger); on failure records a :class:`CellFailure` under
-        ``failures[cell.index]`` and returns ``None``.  Strict
-        sanitizer violations raise :class:`IntegrityError`, exactly as
-        the serial backend always has.
+        Returns ``True`` when the cell should run again: exceptions,
+        crashes and timeouts are retried up to ``retries`` times.
+        Quarantines and livelocks are deterministic model defects, so
+        they are never retried; no failure is ever cached.
         """
-        attempts = 1 + self.retries
-        for attempt in range(1, attempts + 1):
-            if progress is not None:
-                progress(cell.sim_name, cell.workload)
-            started = time.perf_counter()
-            try:
-                result = harness.run_one(
-                    cell.factory, cell.workload,
-                    instrumentation=instrumentation,
-                )
-            except IntegrityError as exc:
-                if self.sanitizers.strict:
-                    raise
-                self._quarantine(
-                    cell, [exc.violation], failures, attempt,
-                    time.perf_counter() - started,
-                )
-                return None
-            except SimulationStuck as exc:
-                self._stuck_failure(
-                    cell, str(exc),
-                    {"instructions": exc.instructions,
-                     "retire": exc.retire,
-                     "state": exc.state},
-                    failures, attempt, time.perf_counter() - started,
-                )
-                return None
-            except Exception:
-                elapsed = time.perf_counter() - started
-                if attempt < attempts:
-                    self.metrics.counter("exec.cells.retried").inc()
-                    time.sleep(self.backoff.delay(
-                        f"{cell.sim_name}:{cell.workload}", attempt
-                    ))
-                    continue
-                failures[cell.index] = CellFailure(
-                    simulator=cell.sim_name,
-                    workload=cell.workload,
-                    kind="exception",
-                    message=traceback.format_exc(limit=20),
-                    attempts=attempt,
-                    elapsed_s=elapsed,
-                )
-                self.metrics.counter("exec.cells.failed").inc()
-                self._note_cell(
-                    cell.sim_name, cell.workload, "exception",
-                    attempts=attempt,
-                )
-                return None
-            else:
-                if harness.last_violations:
-                    self._quarantine(
-                        cell, harness.last_violations, failures,
-                        attempt, time.perf_counter() - started,
-                    )
-                    return None
-                self._record_success(
-                    cell, result, time.perf_counter() - started, attempt,
-                )
-                return result
-        return None  # pragma: no cover - loop always settles
+        kind = message[0]
+        if kind == "strict":
+            raise IntegrityError(InvariantViolation.from_dict(message[1]))
+        if kind == "ok":
+            result = message[1]
+            results[cell.index] = result
+            self.metrics.timer(
+                f"exec.cell.{cell.sim_name}.{cell.workload}"
+            ).observe(elapsed)
+            self.metrics.counter("exec.cells.completed").inc()
+            if self.cache is not None:
+                self._put(cell.key, cell.workload, result)
+            if self.checkpoint is not None:
+                self.checkpoint.record(cell.key.digest(), result)
+            self._note_cell(
+                cell.sim_name, cell.workload, "ok",
+                attempts=attempt, telemetry=result.telemetry,
+            )
+            return False
+        if kind == "invariant":
+            failure = quarantine_failure(
+                [InvariantViolation.from_dict(v) for v in message[1]],
+                simulator=cell.sim_name, workload=cell.workload,
+                attempts=attempt, elapsed_s=elapsed,
+            )
+            self.metrics.counter("exec.cells.quarantined").inc()
+        else:
+            if kind != "stuck" and attempt <= self.retries:
+                self.metrics.counter("exec.cells.retried").inc()
+                return True
+            failure = CellFailure(
+                simulator=cell.sim_name,
+                workload=cell.workload,
+                kind=kind,
+                message=message[1],
+                attempts=attempt,
+                elapsed_s=elapsed,
+                snapshot=message[2] if len(message) > 2 else None,
+            )
+            self.metrics.counter("exec.cells.failed").inc()
+        failures[cell.index] = failure
+        self._note_cell(
+            cell.sim_name, cell.workload, kind, attempts=attempt
+        )
+        return False
+
+    def _retry_delay(self, cell: _Cell, attempt: int) -> float:
+        return self.backoff.delay(
+            f"{cell.sim_name}:{cell.workload}", attempt
+        )
 
     def _run_inprocess(self, to_run, results, failures,
                        instrumentation, progress) -> None:
-        """Serial backend (``jobs=1``): same fault isolation, no fork.
+        """Serial backend (``jobs=1``): same settle path, no fork.
 
         Per-cell timeouts are not enforced here — there is no process
         to terminate — but the in-run watchdog still catches livelocks.
         """
-        harness = self._cell_harness()
+        harness = Harness(
+            self.workloads, self.options.trimmed(),
+            metrics=self.metrics, sanitizers=self.sanitizers,
+        )
         for cell in to_run:
-            result = self._execute_cell(
-                harness, cell, instrumentation, failures, progress
-            )
-            if result is not None:
-                results[cell.index] = result
+            for attempt in itertools.count(1):
+                if progress is not None:
+                    progress(cell.sim_name, cell.workload)
+                started = time.perf_counter()
+                message = _attempt_cell(
+                    harness, cell.factory, cell.workload, instrumentation
+                )
+                if not self._settle(
+                    cell, message, attempt,
+                    time.perf_counter() - started, results, failures,
+                ):
+                    break
+                time.sleep(self._retry_delay(cell, attempt))
 
     def _escalate_timeout(
         self, attempt: _Attempt
@@ -753,31 +677,16 @@ class ExperimentEngine:
                 progress(cell.sim_name, cell.workload)
             self.metrics.counter("exec.cells.launched").inc()
 
-        def settle(attempt: _Attempt, kind: str, message: str,
-                   elapsed: float,
-                   snapshot: Optional[Dict] = None) -> None:
+        def settle(attempt: _Attempt, message: Tuple,
+                   elapsed: float) -> None:
             cell = attempt.cell
-            if attempt.attempt <= self.retries:
-                self.metrics.counter("exec.cells.retried").inc()
-                delay = self.backoff.delay(
-                    f"{cell.sim_name}:{cell.workload}", attempt.attempt
-                )
-                delayed.append((time.perf_counter() + delay, cell))
-                return
-            failures[cell.index] = CellFailure(
-                simulator=cell.sim_name,
-                workload=cell.workload,
-                kind=kind,
-                message=message,
-                attempts=attempt.attempt,
-                elapsed_s=elapsed,
-                snapshot=snapshot,
-            )
-            self.metrics.counter("exec.cells.failed").inc()
-            self._note_cell(
-                cell.sim_name, cell.workload, kind,
-                attempts=attempt.attempt,
-            )
+            if self._settle(cell, message, attempt.attempt, elapsed,
+                            results, failures):
+                delayed.append((
+                    time.perf_counter()
+                    + self._retry_delay(cell, attempt.attempt),
+                    cell,
+                ))
 
         try:
             while pending or live or delayed:
@@ -829,48 +738,21 @@ class ExperimentEngine:
                         message = None
                     conn.close()
                     attempt.process.join()
-                    kind = (
-                        message[0]
-                        if isinstance(message, tuple) and message else None
-                    )
-                    if kind == "ok":
-                        results[attempt.cell.index] = message[1]
+                    if not (isinstance(message, tuple) and message):
+                        message = (
+                            "crash",
+                            f"worker exited with code "
+                            f"{attempt.process.exitcode} before "
+                            f"reporting a result",
+                        )
+                    elif message[0] == "ok":
                         # The worker's registry died with the worker;
                         # mirror its telemetry into the parent's.
                         mirror_to_metrics(
                             self.metrics, attempt.cell.sim_name,
                             attempt.cell.workload, message[1].telemetry,
                         )
-                        self._record_success(
-                            attempt.cell, message[1], elapsed,
-                            attempt.attempt,
-                        )
-                    elif kind == "quarantined":
-                        self._quarantine(
-                            attempt.cell,
-                            [InvariantViolation.from_dict(v)
-                             for v in message[1]],
-                            failures, attempt.attempt, elapsed,
-                        )
-                    elif kind == "strict":
-                        raise IntegrityError(
-                            InvariantViolation.from_dict(message[1])
-                        )
-                    elif kind == "stuck":
-                        self._stuck_failure(
-                            attempt.cell, message[1], message[2],
-                            failures, attempt.attempt, elapsed,
-                        )
-                    elif kind == "error":
-                        settle(attempt, "exception", message[1], elapsed)
-                    else:
-                        settle(
-                            attempt, "crash",
-                            f"worker exited with code "
-                            f"{attempt.process.exitcode} before "
-                            f"reporting a result",
-                            elapsed,
-                        )
+                    settle(attempt, message, elapsed)
 
                 if self.timeout is not None:
                     now = time.perf_counter()
@@ -894,9 +776,8 @@ class ExperimentEngine:
                             )
                             snapshot = dumped[2]
                         settle(
-                            attempt, "timeout", message,
+                            attempt, ("timeout", message, snapshot),
                             time.perf_counter() - attempt.started,
-                            snapshot,
                         )
         finally:
             for attempt in live.values():

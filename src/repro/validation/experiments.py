@@ -156,6 +156,29 @@ def table1_latencies(*, short: int = 16, long: int = 80) -> Table1Result:
 # Table 2: microbenchmark validation
 # ----------------------------------------------------------------------
 
+def _complete_benchmarks(grid, names: Sequence[str],
+                         simulators: Sequence[str]):
+    """Yield ``(name, [result per simulator])`` for each benchmark in
+    ``names`` whose cells all settled cleanly.  A benchmark with a
+    failed or quarantined cell (see ``grid.failures``) is skipped: it
+    gets no row and stays out of the means."""
+    missing = {failure.workload for failure in grid.failures}
+    for name in names:
+        if name not in missing:
+            yield name, [grid.get(simulator, name) for simulator in simulators]
+
+
+def _render_with_failures(table: str, failures: List[CellFailure]) -> str:
+    """``table`` followed by the cells that kept benchmarks out."""
+    if not failures:
+        return table
+    return "\n".join(
+        [table, f"{len(failures)} cell(s) missing, their "
+                f"benchmarks left out of the means:"]
+        + [f"  {failure.describe()}" for failure in failures]
+    )
+
+
 @dataclass
 class Table2Row:
     benchmark: str
@@ -174,6 +197,9 @@ class Table2Result:
     mean_initial_error: float
     mean_alpha_error: float
     mean_outorder_diff: float
+    #: Cells that failed or were quarantined; their benchmarks have no
+    #: row and stay out of the means.
+    failures: List[CellFailure] = field(default_factory=list)
 
     def row(self, benchmark: str) -> Table2Row:
         for row in self.rows:
@@ -191,12 +217,12 @@ class Table2Result:
             ("mean |err|", None, None, self.mean_initial_error,
              None, self.mean_alpha_error, None, self.mean_outorder_diff)
         )
-        return render_table(
+        return _render_with_failures(render_table(
             ["benchmark", "native IPC", "initial IPC", "err%",
              "alpha IPC", "err%", "outorder IPC", "diff%"],
             table_rows,
             title="Table 2: microbenchmark validation",
-        )
+        ), self.failures)
 
 
 def table2_micro(
@@ -210,7 +236,9 @@ def table2_micro(
 
     ``options`` picks the execution engine (``jobs``, ``cache``,
     ``checkpoint`` — see :class:`~repro.exec.spec.RunOptions`); by
-    default the grid inherits the harness's own options.
+    default the grid inherits the harness's own options.  A benchmark
+    with a failed or quarantined cell gets no row and stays out of the
+    means; the failures ride along on the result.
     """
     harness = harness or Harness()
     names = list(benchmarks or micro_names())
@@ -222,11 +250,9 @@ def table2_micro(
     ]
     grid = harness.run_grid(factories, names, options)
     rows: List[Table2Row] = []
-    for name in names:
-        native = grid.get("DS-10L", name)
-        initial = grid.get("sim-initial", name)
-        alpha = grid.get("sim-alpha", name)
-        outorder = grid.get("sim-outorder", name)
+    for name, (native, initial, alpha, outorder) in _complete_benchmarks(
+        grid, names, ["DS-10L", "sim-initial", "sim-alpha", "sim-outorder"]
+    ):
         rows.append(
             Table2Row(
                 benchmark=name,
@@ -248,6 +274,7 @@ def table2_micro(
         mean_outorder_diff=mean_absolute_error(
             r.outorder_diff for r in rows
         ),
+        failures=list(grid.failures),
     )
 
 
@@ -300,19 +327,12 @@ class Table3Result:
              self.stripped_mean_diff, self.outorder_hm_ipc,
              self.outorder_mean_diff)
         )
-        table = render_table(
+        return _render_with_failures(render_table(
             ["benchmark", "native IPC", "alpha IPC", "err%",
              "stripped IPC", "diff%", "outorder IPC", "diff%"],
             table_rows,
             title="Table 3: macrobenchmark validation",
-        )
-        if not self.failures:
-            return table
-        return "\n".join(
-            [table, f"{len(self.failures)} cell(s) missing, their "
-                    f"benchmarks left out of the means:"]
-            + [f"  {failure.describe()}" for failure in self.failures]
-        )
+        ), self.failures)
 
 
 def table3_macro(
@@ -331,15 +351,10 @@ def table3_macro(
     names = list(benchmarks or spec2000_names())
     factories = [NativeMachine, SimAlpha, make_sim_stripped, SimOutOrder]
     grid = harness.run_grid(factories, names, options)
-    missing = {failure.workload for failure in grid.failures}
     rows: List[Table3Row] = []
-    for name in names:
-        if name in missing:
-            continue
-        native = grid.get("DS-10L", name)
-        alpha = grid.get("sim-alpha", name)
-        stripped = grid.get("sim-stripped", name)
-        outorder = grid.get("sim-outorder", name)
+    for name, (native, alpha, stripped, outorder) in _complete_benchmarks(
+        grid, names, ["DS-10L", "sim-alpha", "sim-stripped", "sim-outorder"]
+    ):
         rows.append(
             Table3Row(
                 benchmark=name,

@@ -5,27 +5,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.exec.spec import RunOptions
-from repro.integrity.sanitizers import (
-    IntegrityError,
-    InvariantViolation,
-    Sanitizers,
-)
-from repro.integrity.watchdog import SimulationStuck, Watchdog
+from repro.integrity.sanitizers import InvariantViolation, Sanitizers
+from repro.integrity.watchdog import Watchdog
 from repro.obs.observer import Instrumentation, RunObserver
 from repro.obs.provenance import capture_provenance
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import (
-    GridProgress,
-    RunLedger,
-    TelemetryProbe,
-    mirror_to_metrics,
-)
-from repro.result import SimResult, VOLATILE_PROVENANCE_FIELDS
+from repro.obs.telemetry import TelemetryProbe, mirror_to_metrics
+from repro.result import SimResult
 from repro.workloads.suite import WorkloadSet
 
 __all__ = [
@@ -39,11 +29,6 @@ __all__ = [
 #: A factory producing a *fresh* simulator per run (predictor and cache
 #: state must not leak between workloads).
 SimulatorFactory = Callable[[], object]
-
-#: Backwards-compatible alias; the canonical list lives in
-#: :mod:`repro.result` so checkpoint merges share it.
-_VOLATILE_PROVENANCE_FIELDS = VOLATILE_PROVENANCE_FIELDS
-
 
 def _with_dram_backend(
     factory: SimulatorFactory, backend: str
@@ -87,9 +72,9 @@ class CellFailure:
     """Structured record of one (simulator, workload) cell that could
     not produce a result.
 
-    Produced by the parallel execution engine
-    (:mod:`repro.exec.engine`): a cell that raises, crashes its worker
-    process, or exceeds its timeout is recorded here — after exhausting
+    Produced by the execution engine (:mod:`repro.exec.engine`), which
+    runs every grid: a cell that raises, crashes its worker process,
+    or exceeds its timeout is recorded here — after exhausting
     its retry budget — instead of aborting the rest of the grid.  The
     integrity layer adds two kinds: ``"invariant"`` for results
     quarantined by the sanitizers (the violated invariant and its state
@@ -135,20 +120,19 @@ class ResultGrid:
     """Results indexed by (simulator name, workload name)."""
 
     results: Dict[str, Dict[str, SimResult]] = field(default_factory=dict)
-    #: Cells that failed under the parallel engine (empty for serial
-    #: runs, which propagate exceptions instead).
+    #: Cells that failed, were quarantined or livelocked, in grid
+    #: order; every execution mode records them alike.
     failures: List[CellFailure] = field(default_factory=list)
 
-    def add(self, result: SimResult, *, replace: bool = False) -> None:
+    def add(self, result: SimResult) -> None:
         """Insert ``result``; duplicate (simulator, workload) cells are
-        an error unless ``replace=True`` (the execution engine's
-        cache-refresh path)."""
+        an error."""
         per_sim = self.results.setdefault(result.simulator, {})
-        if result.workload in per_sim and not replace:
+        if result.workload in per_sim:
             raise ValueError(
                 f"duplicate cell ({result.simulator!r}, "
                 f"{result.workload!r}): the grid already holds a result "
-                f"for this pair; pass replace=True to overwrite it"
+                f"for this pair"
             )
         per_sim[result.workload] = result
 
@@ -254,8 +238,7 @@ def quarantine_failure(
     elapsed_s: float = 0.0,
 ) -> CellFailure:
     """Build the ``kind="invariant"`` :class:`CellFailure` recording a
-    quarantined result (shared by the harness and the execution
-    engine)."""
+    quarantined result."""
     first = violations[0] if violations else None
     return CellFailure(
         simulator=(first.simulator if first else "") or simulator,
@@ -419,7 +402,8 @@ class Harness:
         progress: Optional[Callable[[str, str], None]] = None,
         instrumentation: Optional[Instrumentation] = None,
     ) -> ResultGrid:
-        """Run every factory over every workload.
+        """Run every factory over every workload on the execution
+        engine (:mod:`repro.exec.engine`), the one grid loop.
 
         ``options`` (a :class:`repro.exec.spec.RunOptions`) carries
         every execution knob — jobs, cache, timeout, retries,
@@ -428,127 +412,39 @@ class Harness:
         harness-level options
         (a field left at its default inherits the harness's value).
 
-        ``progress(simulator, workload)`` is called before each cell;
-        with a metrics registry attached, each cell's wall time is also
-        recorded under ``harness.cell.<simulator>.<workload>``.
+        Every mode settles cells alike: a cell that raises (or, with
+        ``jobs > 1``, crashes its worker or exceeds ``timeout``) is
+        retried up to ``retries`` times and then recorded as a
+        :class:`CellFailure` on the returned grid; quarantines and
+        livelocks are recorded at once.  Every other cell still
+        completes, and the grid's failures are appended to
+        :attr:`failed_cells`.  A strict sanitizer bundle's
+        :class:`IntegrityError`, ``KeyboardInterrupt`` and anything
+        ``progress`` raises propagate.
 
-        Execution backend, chosen from the merged options:
-
-        * ``jobs > 1``, a ``cache``, or a ``checkpoint`` delegates to
-          the execution engine (:mod:`repro.exec.engine`), whose
-          fork-per-cell pool also honours the per-cell ``timeout`` and
-          ``retries`` budget and records failed cells as
-          :class:`CellFailure` entries (results byte-identical to the
-          serial path);
-        * otherwise the in-process serial path runs, where a failing
-          cell raises — except for integrity quarantines and detected
-          livelocks, which are isolated per cell in every mode.
-
-        ``ledger`` (a :class:`~repro.obs.telemetry.RunLedger` or JSONL
-        path) appends one per-cell telemetry record per settled cell;
-        ``live_progress=True`` renders a live
-        ``cells done/total, cells/s, ETA`` line on stderr.  Both work
-        in every execution mode.
+        ``progress(simulator, workload)`` is called before each
+        attempt of each cell; with a metrics registry attached, each
+        completed cell's wall time is recorded under
+        ``exec.cell.<simulator>.<workload>``.
         """
-        names = list(workload_names)
+        from repro.exec.engine import ExperimentEngine
+
         opts = (options or RunOptions()).merged_over(self.options)
         if opts.dram_backend is not None:
-            # Wrapping here covers both execution backends below (the
-            # engine forks, so closures survive).
+            # Wrapped before the engine probes each factory, so the
+            # backend lands in the cache key (the pool forks, so
+            # closures survive).
             factories = [
                 _with_dram_backend(factory, opts.dram_backend)
                 for factory in factories
             ]
-        sanitizers = self._effective_sanitizers(opts)
-        if (opts.jobs > 1 or opts.cache is not None
-                or opts.checkpoint is not None):
-            from repro.exec.engine import ExperimentEngine
-
-            engine = ExperimentEngine(
-                self.workloads, opts,
-                metrics=self.metrics, sanitizers=sanitizers,
-            )
-            grid = engine.run_grid(
-                factories, names,
-                instrumentation=instrumentation, progress=progress,
-            )
-            self.failed_cells.extend(grid.failures)
-            return grid
-        ledger = opts.ledger
-        owns_ledger = isinstance(ledger, (str, os.PathLike))
-        if owns_ledger:
-            ledger = RunLedger(ledger)
-        progress_line = (
-            GridProgress(len(names) * len(factories))
-            if opts.live_progress else None
+        engine = ExperimentEngine(
+            self.workloads, opts, metrics=self.metrics,
+            sanitizers=self._effective_sanitizers(opts),
         )
-
-        def note(simulator: str, workload: str, status: str,
-                 telemetry=None) -> None:
-            if ledger is not None:
-                ledger.record(
-                    simulator=simulator, workload=workload,
-                    status=status, telemetry=telemetry,
-                )
-            if progress_line is not None:
-                progress_line.update()
-
-        cell_options = opts.trimmed()
-        grid = ResultGrid()
-        try:
-            for name in names:
-                trace = self.workloads.trace(name)
-                for factory in factories:
-                    simulator = factory()
-                    if progress is not None:
-                        progress(simulator.name, name)
-                    try:
-                        result = self._run_cell(
-                            simulator, trace, name, instrumentation,
-                            cell_options,
-                        )
-                    except IntegrityError as exc:
-                        # Fatal violation mid-run: quarantine the cell
-                        # (strict bundles never get here — the
-                        # sanitizer's raise propagates before the
-                        # result exists).
-                        if sanitizers.strict:
-                            raise
-                        grid.failures.append(quarantine_failure(
-                            [exc.violation],
-                            simulator=simulator.name, workload=name,
-                        ))
-                        note(simulator.name, name, "invariant")
-                    except SimulationStuck as exc:
-                        grid.failures.append(CellFailure(
-                            simulator=simulator.name,
-                            workload=name,
-                            kind="stuck",
-                            message=str(exc),
-                            snapshot={
-                                "instructions": exc.instructions,
-                                "retire": exc.retire,
-                                "state": exc.state,
-                            },
-                        ))
-                        note(simulator.name, name, "stuck")
-                    else:
-                        if self.last_violations:
-                            grid.failures.append(quarantine_failure(
-                                self.last_violations,
-                                simulator=simulator.name, workload=name,
-                            ))
-                            note(simulator.name, name, "invariant")
-                        else:
-                            grid.add(result)
-                            note(
-                                simulator.name, name, "ok",
-                                telemetry=result.telemetry,
-                            )
-        finally:
-            if progress_line is not None:
-                progress_line.close()
-            if owns_ledger:
-                ledger.close()
+        grid = engine.run_grid(
+            factories, workload_names,
+            instrumentation=instrumentation, progress=progress,
+        )
         self.failed_cells.extend(grid.failures)
         return grid

@@ -67,6 +67,32 @@ class TestTable2:
         assert result.row("E-DM1").initial_error > 50
         assert "Table 2" in result.render()
 
+    def test_quarantined_cell_is_reported_not_raised(self, monkeypatch):
+        """Table 3's rule: a fake sim-initial quarantine on ``E-D1``
+        drops that benchmark's row and keeps it out of the means."""
+        failure = CellFailure("sim-initial", "E-D1", kind="invariant",
+                              message="ipc_bound")
+        grid = ResultGrid(failures=[failure])
+        cycles = {"DS-10L": 200.0, "sim-initial": 100.0,
+                  "sim-alpha": 180.0, "sim-outorder": 120.0}
+        for workload in ("C-R", "E-D1"):
+            for simulator, count in cycles.items():
+                if (simulator, workload) != ("sim-initial", "E-D1"):
+                    grid.add(SimResult(simulator, workload, cycles=count,
+                                       instructions=100))
+        stub = Harness()
+        monkeypatch.setattr(stub, "run_grid", lambda *args, **kw: grid)
+        result = table2_micro(stub, benchmarks=["C-R", "E-D1"])
+        assert [row.benchmark for row in result.rows] == ["C-R"]
+        assert result.failures == [failure]
+        assert result.mean_initial_error == pytest.approx(50.0)
+        assert result.mean_alpha_error == pytest.approx(10.0)
+        with pytest.raises(KeyError):
+            result.row("E-D1")
+        rendered = result.render()
+        assert "1 cell(s) missing" in rendered
+        assert "sim-initial on E-D1: invariant" in rendered
+
 
 class TestTable3:
     def test_reduced_run_shape(self, harness):

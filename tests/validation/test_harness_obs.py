@@ -48,15 +48,6 @@ class TestResultGridAdd:
             grid.add(make_result())
         message = str(excinfo.value)
         assert "sim-alpha" in message and "C-R" in message
-        assert "replace=True" in message
-
-    def test_replace_overwrites(self):
-        grid = ResultGrid()
-        grid.add(make_result())
-        updated = make_result()
-        updated.cycles = 999.0
-        grid.add(updated, replace=True)
-        assert grid.get("sim-alpha", "C-R").cycles == 999.0
 
     def test_same_workload_under_other_simulator_is_fine(self):
         grid = ResultGrid()
